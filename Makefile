@@ -57,8 +57,8 @@ resume-smoke: build
 resilience-smoke: build
 	timeout $(RESILIENCE_SMOKE_TIMEOUT) scripts/resilience_smoke.sh _build/default/bin/coordctl.exe
 
-# Chaos soak: sweep the (engine x supervision x disk-visited x fault
-# plan) matrix through coordctl, requiring each cell to be bit-identical
+# Chaos soak: sweep the (supervision x disk-visited x fault plan)
+# matrix through coordctl, requiring each cell to be bit-identical
 # to its fault-free oracle or an honestly reported degradation (disk
 # quota -> stop reason disk_full, checkpoint intact, resume exact).
 # Every cell runs under its own timeout; the campaign prints its seed

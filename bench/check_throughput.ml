@@ -29,10 +29,9 @@
 
    Two further kinds of workload ride on the same harness:
 
-   - shard-vs-seq / barrier-vs-seq: a multi-domain scaling curve of both
-     parallel engines (the sharded work-stealing default and the barrier
-     reference) against the sequential explorer, one row per (engine,
-     domain count). --gate-shard RATIO turns the sharded rows into a CI
+   - shard-vs-seq: a multi-domain scaling curve of the sharded
+     work-stealing explorer against the sequential one, one row per
+     domain count. --gate-shard RATIO turns the rows into a CI
      gate on graphs above 10^5 states (`make bench-shard` wires it in at
      1.0); on a single-domain host every parallel comparison is recorded
      as {"skipped": "single-domain host"} instead of a noise ratio.
@@ -72,7 +71,7 @@ type entry = {
   label : string;
   kind : string;
       (* "par-vs-seq" | "reduced-vs-full" | "shard-vs-seq" |
-         "barrier-vs-seq" | "disk-vs-quotient" *)
+         "disk-vs-quotient" *)
   a_name : string;
   a_json : string;
   b_name : string;
@@ -186,7 +185,7 @@ module Sweep (P : Protocol.PROTOCOL) = struct
             "parallel path never engaged (single domain or frontier below \
              threshold); difference is timing noise"
           | Some dep ->
-            str "barrier-parallel from depth %d: overhead exceeded the \
+            str "parallel from depth %d: overhead exceeded the \
                  per-generation work on this host" dep)
     in
     {
@@ -205,11 +204,10 @@ module Sweep (P : Protocol.PROTOCOL) = struct
     }
     end
 
-  (* Multi-domain scaling curve: the sequential reference against both
-     parallel engines at each domain count up to [domains], recorded as
-     one row per (engine, d). The sharded rows are the ones the
-     --gate-shard CI gate reads. *)
-  let engine_curve ~label ~domains ?max_states (cfg : E.config) =
+  (* Multi-domain scaling curve: the sequential reference against the
+     parallel explorer at each domain count up to [domains], recorded as
+     one row per d. These are the rows the --gate-shard CI gate reads. *)
+  let scaling_curve ~label ~domains ?max_states (cfg : E.config) =
     if domains < 2 then begin
       Format.printf "--- %s scaling ---@.skipped: single-domain host@.@."
         label;
@@ -223,46 +221,35 @@ module Sweep (P : Protocol.PROTOCOL) = struct
         List.sort_uniq compare
           (domains :: List.filter (fun d -> d <= domains) [ 2; 4; 8; 16 ])
       in
-      List.concat_map
+      List.map
         (fun d ->
-          List.map
-            (fun engine ->
-              let tagname = Check.Explore.engine_tag engine in
-              let row_label = str "%s [%s d=%d]" label tagname d in
-              let gp, sp =
-                time_best (fun () ->
-                    E.explore_par ~domains:d ~engine ?max_states cfg)
-              in
-              if not (same gs gp) then
-                failwith
-                  (str "%s: %s engine diverged from sequential" row_label
-                     tagname);
-              check_accounting ~label:row_label ~which:tagname sp;
-              let speedup =
-                ss.Check.Checker_stats.elapsed_s
-                /. sp.Check.Checker_stats.elapsed_s
-              in
-              Format.printf "--- %s ---@.seq: %a@.%s: %a@.speedup: %.2fx@.@."
-                row_label Check.Checker_stats.pp ss tagname
-                Check.Checker_stats.pp sp speedup;
-              {
-                label = row_label;
-                kind =
-                  (match engine with
-                  | Check.Explore.Sharded -> "shard-vs-seq"
-                  | Check.Explore.Barrier -> "barrier-vs-seq");
-                a_name = "seq";
-                a_json = Check.Checker_stats.to_json ss;
-                b_name = tagname;
-                b_json = Check.Checker_stats.to_json sp;
-                speedup;
-                reduction_factor = 1.0;
-                peak_table = ss.Check.Checker_stats.n_states;
-                full_complete = ss.Check.Checker_stats.complete;
-                note = None;
-                skipped = None;
-              })
-            [ Check.Explore.Barrier; Check.Explore.Sharded ])
+          let row_label = str "%s [sharded d=%d]" label d in
+          let gp, sp =
+            time_best (fun () -> E.explore_par ~domains:d ?max_states cfg)
+          in
+          if not (same gs gp) then
+            failwith (str "%s: sharded run diverged from sequential" row_label);
+          check_accounting ~label:row_label ~which:"sharded" sp;
+          let speedup =
+            ss.Check.Checker_stats.elapsed_s /. sp.Check.Checker_stats.elapsed_s
+          in
+          Format.printf "--- %s ---@.seq: %a@.sharded: %a@.speedup: %.2fx@.@."
+            row_label Check.Checker_stats.pp ss Check.Checker_stats.pp sp
+            speedup;
+          {
+            label = row_label;
+            kind = "shard-vs-seq";
+            a_name = "seq";
+            a_json = Check.Checker_stats.to_json ss;
+            b_name = "sharded";
+            b_json = Check.Checker_stats.to_json sp;
+            speedup;
+            reduction_factor = 1.0;
+            peak_table = ss.Check.Checker_stats.n_states;
+            full_complete = ss.Check.Checker_stats.complete;
+            note = None;
+            skipped = None;
+          })
         curve
     end
 
@@ -562,10 +549,10 @@ let () =
   add
     (SMutex.par_vs_seq ~label:"amutex-m5" ~domains
        { ids = [| 7; 13 |]; inputs = [| (); () |]; namings = rot2 5 });
-  (* --- engine scaling: barrier vs sharded at 2..domains, on a full
-     graph big enough for the gate (227k states > the 10^5 floor) --- *)
+  (* --- scaling: sharded vs seq at 2..domains, on a full graph big
+     enough for the gate (227k states > the 10^5 floor) --- *)
   add_all
-    (SMutex.engine_curve ~label:"amutex-m3-n3" ~domains
+    (SMutex.scaling_curve ~label:"amutex-m3-n3" ~domains
        { ids = ids 3; inputs = units 3; namings = sym 3 3 });
   if not !quick then begin
     add

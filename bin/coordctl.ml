@@ -17,28 +17,13 @@ let str = Printf.sprintf
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type proto = Mutex | Cmp_mutex | Consensus | Election | Renaming | Ccp
+(* Protocols, their names and default register counts come from the
+   job-spec table the serving layer uses. *)
+module Spec = Serve.Spec
 
 let proto_conv =
-  let parse = function
-    | "mutex" -> Ok Mutex
-    | "cmp-mutex" -> Ok Cmp_mutex
-    | "consensus" -> Ok Consensus
-    | "election" -> Ok Election
-    | "renaming" -> Ok Renaming
-    | "ccp" -> Ok Ccp
-    | s -> Error (`Msg (str "unknown protocol %S" s))
-  in
-  let print ppf p =
-    Format.pp_print_string ppf
-      (match p with
-      | Mutex -> "mutex"
-      | Cmp_mutex -> "cmp-mutex"
-      | Consensus -> "consensus"
-      | Election -> "election"
-      | Renaming -> "renaming"
-      | Ccp -> "ccp")
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Spec.proto_of_string s) in
+  let print ppf p = Format.pp_print_string ppf (Spec.proto_to_string p) in
   Cmdliner.Arg.conv (parse, print)
 
 module Sim (P : Protocol.PROTOCOL) = struct
@@ -76,15 +61,8 @@ module Sim (P : Protocol.PROTOCOL) = struct
     Format.printf "final state:@.%a@." R.pp_state rt
 end
 
-let simulate proto n m seed steps show_trace =
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+let simulate (proto : Spec.proto) n m seed steps show_trace =
+  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
   (match proto with
   | Mutex ->
     let module S = Sim (Coord.Amutex.P) in
@@ -336,8 +314,8 @@ let reduction_of_flags ~canon ~no_canon =
    prefix); 4 a --resume snapshot was rejected (corrupt, wrong version, or
    fingerprint mismatch with every swept configuration); 6 the --deadline
    expired (graceful stop at a generation boundary, snapshot flushed). *)
-let check proto n m par domains stats canon no_canon max_states snapshot_dir
-    snapshot_every resume deadline salvage supervise inject =
+let check (proto : Spec.proto) n m par domains stats canon no_canon max_states
+    snapshot_dir snapshot_every resume deadline salvage supervise inject =
   let reduction = reduction_of_flags ~canon ~no_canon in
   (* --inject-faults SEED arms a deterministic infrastructure-fault plan
      and implies the rest of the self-healing stack: snapshot salvage,
@@ -381,14 +359,7 @@ let check proto n m par domains stats canon no_canon max_states snapshot_dir
       saw_deadline = ref false;
     }
   in
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
   let body () =
     match
       match proto with
@@ -536,7 +507,7 @@ let symmetry n m show_trace =
         trace);
   Ok 0
 
-let covering proto m show_trace =
+let covering (proto : Spec.proto) m show_trace =
   (match proto with
   | Mutex ->
     let module Cov = Lowerbound.Covering.Make (Coord.Amutex.P) in
@@ -742,15 +713,9 @@ module ChaosDecide (P : Protocol.PROTOCOL with type output = int) = struct
     !bad > 0
 end
 
-let chaos proto n m seed attempts prefix_steps crashes crash_cs rejoins =
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+let chaos (proto : Spec.proto) n m seed attempts prefix_steps crashes crash_cs
+    rejoins =
+  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
   let plan =
     List.map (fun (proc, after) -> Fault.Crash_at_step { proc; after }) crashes
     @ List.map (fun proc -> Fault.Crash_in_critical { proc }) crash_cs
@@ -1127,8 +1092,8 @@ let consensus_gen_inputs rng ~n =
 
 let unit_inputs _rng ~n = Array.make n ()
 
-let fuzz proto n m attempts seconds seed max_states probes do_shrink corpus
-    deadline =
+let fuzz (proto : Spec.proto) n m attempts seconds seed max_states probes
+    do_shrink corpus deadline =
   (* --deadline is the cross-command wall-clock bound; for fuzz it maps
      onto the existing per-campaign seconds budget (tighter of the two) *)
   let seconds =
@@ -1229,15 +1194,8 @@ let shrink path replay_only out show_trace max_rounds =
 (* graph export                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let graph proto n m output =
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+let graph (proto : Spec.proto) n m output =
+  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
   let write_dot flat =
     let oc = open_out output in
     let ppf = Format.formatter_of_out_channel oc in
@@ -1366,7 +1324,7 @@ module Xpl (P : Protocol.PROTOCOL) = struct
 
   let explore ~n ~m ~rot ~inputs ~reduction ~par ~domains ~max_states ~depths
       ~snapshot_to ~snapshot_every ~resume_from ~deadline_s ~salvage
-      ~supervise ~engine ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
+      ~supervise ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
     if reduction = Check.Explore.Canon && E.canon_degraded ~n then
       Format.printf
         "note: --canon degraded to the identity group (%s): exploring the \
@@ -1374,93 +1332,43 @@ module Xpl (P : Protocol.PROTOCOL) = struct
         (if not P.symmetric then P.name ^ " is not a symmetric protocol"
          else str "n = %d exceeds the group-enumeration bound 7" n);
     let cfg = config ~n ~m ~rot ~inputs in
-    let st =
+    if disk_visited <> None && par then
+      failwith
+        "--disk-visited is a sequential external-memory mode; drop --par";
+    let run ~resume_from ~snapshot_to =
       match disk_visited with
       | Some dir ->
         (* external-memory mode: the visited set spills to sorted runs
            under [dir]; statistics-only (the graph never fits in RAM,
            which is the point), sequential by construction *)
-        if par then
-          failwith "--disk-visited is a sequential external-memory mode; \
-                    drop --par";
-        let run resume_from =
-          E.explore_external ?max_states ?snapshot_every ?snapshot_to
-            ?resume_from ?deadline_s ?hot_cap:disk_hot_cap
-            ?disk_quota_bytes:disk_quota ~salvage ~reduction ~dir cfg
-        in
-        if recover then
-          (* fault campaign: injected faults fire at most once, so a
-             retry from the newest checkpoint converges (DESIGN.md §14);
-             the retry count is stamped into the stats as [recoveries].
-             Budget one retry per armed fault (a whole plan can gang up
-             on this single run) on top of the usual three. *)
-          let retries = 3 + List.length (Resilience.pending ()) in
-          let rec go attempt resume =
-            match run resume with
-            (* an internally absorbed fault degrades to a truncated
-               RESULT, not an exception; that also earns a retry *)
-            | st
-              when (not st.Check.Checker_stats.complete)
-                   && (st.Check.Checker_stats.stop = Check.Checker_stats.Oom
-                      || st.Check.Checker_stats.stop
-                         = Check.Checker_stats.Fault)
-                   && attempt < retries ->
-              go (attempt + 1)
-                (match snapshot_to with
-                | Some p when Sys.file_exists p -> Some p
-                | _ -> None)
-            | st -> { st with Check.Checker_stats.recoveries = attempt }
-            | exception Check.Snapshot.Error (Check.Snapshot.Corrupt _)
-              when attempt < retries ->
-              (* either a run file was damaged in flight (spill's
-                 read-back) or the checkpoint itself is beyond salvage.
-                 Resume from the checkpoint when it still has an intact
-                 chunk — restore sweeps the damaged run as a stray —
-                 and start over otherwise; the fresh run rewrites the
-                 file. *)
-              let resume =
-                match snapshot_to with
-                | Some p when Sys.file_exists p -> (
-                  match Check.Snapshot.read_chunks ~path:p with
-                  | _ -> Some p
-                  | exception Check.Snapshot.Error _ -> None)
-                | _ -> None
-              in
-              go (attempt + 1) resume
-            | exception
-                ( Out_of_memory | Resilience.Killed _ | Resilience.Stalled _
-                | Resilience.Io_fault _ )
-              when attempt < retries ->
-              go (attempt + 1)
-                (match snapshot_to with
-                | Some p when Sys.file_exists p -> Some p
-                | _ -> None)
-          in
-          go 0 resume_from
-        else run resume_from
+        E.explore_external ?max_states ?snapshot_every ?snapshot_to
+          ?resume_from ?deadline_s ?hot_cap:disk_hot_cap
+          ?disk_quota_bytes:disk_quota ~salvage ~reduction ~dir cfg
+      | None when par ->
+        snd
+          (E.explore_par ?max_states ?domains ?snapshot_every ?snapshot_to
+             ?resume_from ?deadline_s ~salvage
+             ?supervise:(if supervise then Some true else None)
+             ~reduction cfg)
       | None ->
-        let run ~resume_from ~snapshot_to =
-          if par then
-            E.explore_par ?max_states ?domains ?engine ?snapshot_every
-              ?snapshot_to ?resume_from ?deadline_s ~salvage
-              ?supervise:(if supervise then Some true else None)
-              ~reduction cfg
-          else
-            E.explore_with_stats ?max_states ?snapshot_every ?snapshot_to
-              ?resume_from ?deadline_s ~salvage ~reduction cfg
-        in
-        let g, st =
-          match (recover, snapshot_to) with
-          | true, Some snap ->
-            E.with_recovery
-              ~max_retries:(3 + List.length (Resilience.pending ()))
-              ?resume_from ~snapshot_to:snap
-              (fun ~resume_from ~snapshot_to ->
-                run ~resume_from ~snapshot_to:(Some snapshot_to))
-          | _ -> run ~resume_from ~snapshot_to
-        in
-        ignore g;
-        st
+        snd
+          (E.explore_with_stats ?max_states ?snapshot_every ?snapshot_to
+             ?resume_from ?deadline_s ~salvage ~reduction cfg)
+    in
+    let st =
+      match (recover, snapshot_to) with
+      | true, Some snap ->
+        (* fault campaign: injected faults fire at most once, so a retry
+           from the newest checkpoint converges (DESIGN.md §14). Budget
+           one retry per armed fault (a whole plan can gang up on this
+           single run) on top of the usual three. *)
+        snd
+          (E.with_recovery
+             ~max_retries:(3 + List.length (Resilience.pending ()))
+             ?resume_from ~snapshot_to:snap
+             (fun ~resume_from ~snapshot_to ->
+               ((), run ~resume_from ~snapshot_to:(Some snapshot_to))))
+      | _ -> run ~resume_from ~snapshot_to
     in
     Format.printf "%a@." Check.Checker_stats.pp st;
     if depths then Format.printf "%a@." Check.Checker_stats.pp_depths st;
@@ -1490,9 +1398,9 @@ module Xpl (P : Protocol.PROTOCOL) = struct
         (if full.Check.Checker_stats.complete then "" else " (full truncated)")
 end
 
-let explore proto n m rot par domains canon no_canon max_states depths
-    snapshot_to snapshot_every resume_from deadline_s salvage supervise
-    engine inject disk_faults disk_quota disk_visited disk_hot_cap =
+let explore (proto : Spec.proto) n m rot par domains canon no_canon max_states
+    depths snapshot_to snapshot_every resume_from deadline_s salvage supervise
+    inject disk_faults disk_quota disk_visited disk_hot_cap =
   let reduction = reduction_of_flags ~canon ~no_canon in
   (* --inject-faults on explore mirrors `check`: the plan is printed for
      replay, a private checkpoint file is synthesized when none was given
@@ -1519,14 +1427,7 @@ let explore proto n m rot par domains canon no_canon max_states depths
   | None -> ());
   let salvage = salvage || inject <> None in
   let recover = inject <> None in
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
   let body () =
     match
       match proto with
@@ -1534,13 +1435,13 @@ let explore proto n m rot par domains canon no_canon max_states depths
       let module X = Xpl (Coord.Amutex.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Cmp_mutex ->
       let module X = Xpl (Coord.Cmp_mutex.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Consensus ->
       let module X = Xpl (Coord.Consensus.P) in
@@ -1548,25 +1449,25 @@ let explore proto n m rot par domains canon no_canon max_states depths
          distinct inputs *)
       X.explore ~n ~m ~rot ~inputs:(Array.make n 42) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Election ->
       let module X = Xpl (Coord.Election.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Renaming ->
       let module X = Xpl (Coord.Renaming.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Ccp ->
       let module X = Xpl (Coord.Ccp.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
   with
   | exception Check.Snapshot.Error e ->
@@ -1753,30 +1654,11 @@ let supervise_arg =
     & info [ "supervise" ]
         ~doc:
           "With $(b,--par), run worker domains under a supervisor that \
-           detects dead workers, requeues their work units onto survivors \
-           and respawns them (bounded restarts with backoff) instead of \
-           hanging. Results stay bit-identical to the unsupervised \
-           explorer. Enabled automatically by $(b,--inject-faults).")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("sharded", Check.Explore.Sharded);
-                ("barrier", Check.Explore.Barrier);
-              ]))
-        None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "With $(b,--par), choreography of the wide generations: \
-           $(b,sharded) (the default — continuous shard owners over SPSC \
-           mailboxes with work stealing) or $(b,barrier) (five lock-step \
-           phases per generation). Both produce bit-identical results; \
-           the knob exists for benchmarks and fault campaigns that must \
-           pin one down (DESIGN.md §13).")
+           detects dead workers, hands their shards to survivors (replaying \
+           the interrupted generation) and respawns them (bounded restarts \
+           with backoff) instead of hanging. Results stay bit-identical to \
+           the unsupervised explorer. Enabled automatically by \
+           $(b,--inject-faults).")
 
 let inject_arg =
   Arg.(
@@ -1915,7 +1797,7 @@ let explore_cmd =
         (const explore $ proto_arg $ n_arg $ m_arg $ rot $ par_arg
        $ domains_arg $ canon_arg $ no_canon_arg $ max_states $ depths
        $ snapshot $ snapshot_every_arg $ resume_arg $ deadline_arg
-       $ salvage_arg $ supervise_arg $ engine_arg $ inject_arg $ disk_faults
+       $ salvage_arg $ supervise_arg $ inject_arg $ disk_faults
        $ disk_quota $ disk_visited $ disk_hot_cap))
 
 let bench_cmd =

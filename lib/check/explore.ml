@@ -4,10 +4,6 @@ type reduction = Full | Canon
 
 let reduction_tag = function Full -> "full" | Canon -> "canon"
 
-type engine = Barrier | Sharded
-
-let engine_tag = function Barrier -> "barrier" | Sharded -> "sharded"
-
 module Make (P : Protocol.PROTOCOL) = struct
   module Cd = Codec.Make (P)
   module Cn = Canon.Make (P)
@@ -322,39 +318,19 @@ module Make (P : Protocol.PROTOCOL) = struct
      parallel explorer reproduces exactly that order.
 
      Generations start sequential: while the frontier is narrower than
-     [par_threshold] the barrier choreography costs more than the
+     [par_threshold] the crew's synchronization costs more than the
      expansion work, so worker 0 expands the whole generation alone
      (before any domain is spawned at all, if the warm-up is still
      running). Once the frontier first reaches the threshold, the worker
      domains spawn — that depth is recorded as the [cutover] stat — and
-     each wide generation runs in barrier-separated phases:
+     each wide generation is served by the sharded owners ("one wide
+     generation" below). Narrow generations after the cutover (a draining
+     frontier) drop back to sequential expansion by worker 0. The result
+     is bit-identical to [explore] on every input and every mode
+     schedule, which the test suite cross-checks for every in-tree
+     protocol. *)
 
-       A  workers expand a slice of the frontier (successor computation
-          plus canonicalization — the work that dominates the run),
-          packing every successor into its string key;
-       -  worker 0 flattens the successor lists into one candidate array,
-          in the sequential discovery order;
-       B  the interning table is sharded by key hash; each worker
-          resolves the candidates its shard owns against its own table
-          (no locks — ownership is a partition), marking each candidate
-          as an existing state, a duplicate of an earlier candidate of
-          this generation, or fresh;
-       -  worker 0 scans the candidate array once, in order, handing out
-          consecutive ids to fresh candidates — exactly the ids the
-          sequential explorer would have assigned, including where the
-          [max_states] budget cuts off;
-       C  workers insert their shards' newly-identified states and build
-          the transition lists for their frontier slice;
-       -  worker 0 appends the generation's states and transitions, forms
-          the next frontier and decides the next generation's mode.
-
-     Narrow generations after the cutover (a draining frontier) drop back
-     to sequential expansion by worker 0 — one barrier per generation
-     instead of six. The result is bit-identical to [explore] on every
-     input and every mode schedule, which the test suite cross-checks for
-     every in-tree protocol. *)
-
-  (* Supervised-engine work epoch. Published as ONE atomic record so a
+  (* Supervised-crew work epoch. Published as ONE atomic record so a
      worker can never pair one epoch's unit table with another epoch's
      work function. Unit cells: 0 unclaimed, [slot + 1] claimed by that
      crew slot, -1 done. *)
@@ -365,12 +341,12 @@ module Make (P : Protocol.PROTOCOL) = struct
   }
 
   (* One cross-shard candidate in flight between two domains of the
-     sharded engine: the candidate key [h_ckey] fixes its place in the
+     sharded crew: the candidate key [h_ckey] fixes its place in the
      sequential discovery order; the rest is what the owning shard needs
      to resolve it without re-canonizing. *)
   type handoff = { h_ckey : int; h_key : string; h_rep : state; h_orbit : int }
 
-  let explore_impl ~max_states ~domains ~par_threshold ~reduction ~engine
+  let explore_impl ~max_states ~domains ~par_threshold ~reduction
       ~handoff_batch ~steal_batch ~snapshot_every ~snapshot_to ~resume_from
       ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise cfg =
     let d = max 1 domains in
@@ -445,7 +421,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       ref (match resumed with Some sp -> sp.sp_cutover | None -> None)
     in
     let orbit_sum = ref 0 in
-    (* Sharded-engine weather counters, one slot per domain (disjoint
+    (* Sharded-crew weather counters, one slot per domain (disjoint
        writes; read after the joins). Never part of bit-identity. *)
     let steals_ctr = Array.make d 0 in
     let handoffs_ctr = Array.make d 0 in
@@ -493,8 +469,8 @@ module Make (P : Protocol.PROTOCOL) = struct
       let rep0, _, orbit0 = canonize_cached ccs.(0) codec (initial cfg) in
       (* Shard s owns every state whose structural hash is s mod d. The
          hash is over the canonical state, NOT the packed codec key:
-         codec codes are assigned in racy first-encode order during the
-         parallel phases, so key bytes differ run to run, while the
+         codec codes are assigned in racy first-encode order during wide
+         generations, so key bytes differ run to run, while the
          structural hash is a pure function of the state — shard
          assignment (and the [shard_load] statistic) stays deterministic
          and therefore reproducible across checkpoint/resume. *)
@@ -502,21 +478,20 @@ module Make (P : Protocol.PROTOCOL) = struct
       let shard_tbl : (string, int) Hashtbl.t array =
         Array.init d (fun _ -> Hashtbl.create 1024)
       in
-      (* Per-shard scratch: first candidate index of each fresh state seen
-         this generation, so later duplicates resolve to it. *)
+      (* Per-shard scratch: the fresh slot of each new key seen this
+         generation, so later duplicates resolve to it. *)
       let scratch : (string, int) Hashtbl.t array =
         Array.init d (fun _ -> Hashtbl.create 256)
       in
       let b = Parallel.Barrier.create d in
-      (* ---- sharded-engine plumbing (allocated only when it can run) --
+      (* ---- sharded-crew plumbing (allocated only when d > 1) --------
          One SPSC ring per ordered domain pair carries batched cross-shard
          candidates; per-domain fixed buffers amortize the ring traffic.
          Each owner keeps a private resolution log of
          (candidate key, target) pairs — single-writer, merged by worker 0
          at generation end in candidate-key order, which replays the
          sequential id assignment exactly. *)
-      let sharded = engine = Sharded && d > 1 in
-      let sd = if sharded then d else 0 in
+      let sd = if d > 1 then d else 0 in
       (* [kmax] bounds successors per state (each of the n processes
          contributes at most two, via a coin), so
          [ckey = frontier index * kmax + successor position] is globally
@@ -579,20 +554,6 @@ module Make (P : Protocol.PROTOCOL) = struct
           (Array.sub init_states !n_expanded
              (Array.length init_states - !n_expanded))
       in
-      let succ_lists : (label * state * string * int) list array ref =
-        ref [||]
-      in
-      let offsets = ref [||] in
-      let cand_state = ref [||] in
-      let cand_key = ref [||] in
-      let cand_orbit = ref [||] in
-      let cand_owner = ref [||] in
-      (* resolved.(k): id >= 0 existing state; -1 fresh (first occurrence
-         in this generation); -2 - k0 duplicate of candidate k0. *)
-      let resolved = ref [||] in
-      (* cand_id.(k): final state id, or -1 when the budget dropped it. *)
-      let cand_id = ref [||] in
-      let trans : transition list array ref = ref [||] in
       let n_states = ref (Array.length init_states) in
       let complete = ref true in
       let states_chunks = ref [ init_states ] in
@@ -640,50 +601,44 @@ module Make (P : Protocol.PROTOCOL) = struct
           let key = Cd.encode codec st.mem st.locals in
           Hashtbl.add shard_tbl.(state_owner st) key id)
         init_states;
-      (* Per-engine setup of a wide (parallel-mode) generation, run by
-         the single worker that just closed the previous one — and again
-         by the supervisor when a failed sharded attempt is replayed (the
-         reset below is exactly what makes a retry start from a clean
-         slate). *)
+      (* Setup of a wide (parallel-mode) generation, run by the single
+         worker that just closed the previous one — and again by the
+         supervisor when a failed attempt is replayed (the reset below is
+         exactly what makes a retry start from a clean slate). *)
       let prep_parallel_gen head =
         let nf = Array.length head in
-        match engine with
-        | Barrier ->
-          succ_lists := Array.make nf [];
-          trans := Array.make nf []
-        | Sharded ->
-          gen_labels := Array.make nf [||];
-          let counts = Array.make d 0 in
-          Array.iter
-            (fun st ->
-              let s = state_owner st in
-              counts.(s) <- counts.(s) + 1)
-            head;
-          let wls = Array.init d (fun s -> Array.make counts.(s) 0) in
-          let fill = Array.make d 0 in
-          Array.iteri
-            (fun i st ->
-              let s = state_owner st in
-              wls.(s).(fill.(s)) <- i;
-              fill.(s) <- fill.(s) + 1)
-            head;
-          wl := wls;
-          for s = 0 to d - 1 do
-            Atomic.set wl_cursor.(s) 0;
-            logs.(s) := [];
-            slot_cnt.(s) <- 0;
-            slot_keys_rev.(s) := [];
-            slot_reps_rev.(s) := [];
-            slot_orbs_rev.(s) := [];
-            Hashtbl.reset scratch.(s)
-          done;
-          (* defensive: a previous generation that aborted on a failure
-             may have left batches in flight *)
-          Array.iter
-            (Array.iter (fun r ->
-                 while Parallel.Spsc.try_pop r <> None do () done))
-            rings;
-          Atomic.set pending nf
+        gen_labels := Array.make nf [||];
+        let counts = Array.make d 0 in
+        Array.iter
+          (fun st ->
+            let s = state_owner st in
+            counts.(s) <- counts.(s) + 1)
+          head;
+        let wls = Array.init d (fun s -> Array.make counts.(s) 0) in
+        let fill = Array.make d 0 in
+        Array.iteri
+          (fun i st ->
+            let s = state_owner st in
+            wls.(s).(fill.(s)) <- i;
+            fill.(s) <- fill.(s) + 1)
+          head;
+        wl := wls;
+        for s = 0 to d - 1 do
+          Atomic.set wl_cursor.(s) 0;
+          logs.(s) := [];
+          slot_cnt.(s) <- 0;
+          slot_keys_rev.(s) := [];
+          slot_reps_rev.(s) := [];
+          slot_orbs_rev.(s) := [];
+          Hashtbl.reset scratch.(s)
+        done;
+        (* defensive: a previous generation that aborted on a failure may
+           have left batches in flight *)
+        Array.iter
+          (Array.iter (fun r ->
+               while Parallel.Spsc.try_pop r <> None do () done))
+          rings;
+        Atomic.set pending nf
       in
       (* Mode of the generation about to run; worker 0 decides the next
          one at every generation end. *)
@@ -892,7 +847,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         guard expand_seq;
         if !failure <> None then stop := true
       in
-      (* ---------------- sharded engine: one wide generation ----------
+      (* ---------------- sharded owners: one wide generation ----------
          No per-phase barriers: every domain continuously expands frontier
          states (its own shards' worklists first, stealing from the
          heaviest shard when dry), resolves candidates its shards own the
@@ -901,7 +856,7 @@ module Make (P : Protocol.PROTOCOL) = struct
          two barriers at generation end (logs complete; logs sorted),
          after which worker 0 merges the per-owner logs in candidate-key
          order — replaying exactly the sequential id scan, so the result
-         is bit-identical to the barrier engine's and to [explore]'s.
+         is bit-identical to [explore]'s.
 
          SLOTS and SHARDS are distinct notions throughout: a slot is a
          crew member (a domain), a shard a partition of the state space.
@@ -911,7 +866,7 @@ module Make (P : Protocol.PROTOCOL) = struct
          crew smaller than [d] — a worker that exhausted its restart
          budget — still serves every shard, and a dead owner's shard is
          reassigned to a survivor by the same CAS claim that hands out
-         phase work. *)
+         epoch work. *)
       let log_add o ckey target = logs.(o) := (ckey, target) :: !(logs.(o)) in
       (* Owner-side resolution for [shard]; only its current lease holder
          may call this. Targets: [id >= 0] an already-interned state;
@@ -1105,8 +1060,9 @@ module Make (P : Protocol.PROTOCOL) = struct
         slot_orbs_arr.(me) <- Array.of_list (List.rev !(slot_orbs_rev.(me)))
       in
       (* Worker 0, alone: d-way merge of the sorted logs in candidate-key
-         order — the same scan [assign_ids] does, with identical budget
-         semantics — building transitions and fresh states as it goes. *)
+         order — the candidate scan [expand_seq] does, with identical
+         budget semantics — building transitions and fresh states as it
+         goes. *)
       let merge_and_collect () =
         let nf = Array.length !frontier in
         let gl = !gen_labels in
@@ -1188,154 +1144,6 @@ module Make (P : Protocol.PROTOCOL) = struct
           ~orbs:(Array.of_list (List.rev !orb_rev))
           ~ncand:!ncand ~dups:!dups ~discovered:!discovered
       in
-      let phase_a me =
-        let fr = !frontier and sl = !succ_lists in
-        let nf = Array.length fr in
-        let i = ref me in
-        while !i < nf do
-          Resilience.worker_tick ~domain:me;
-          sl.(!i) <-
-            List.map
-              (fun (label, st') ->
-                let rep, key, orbit = canonize_cached ccs.(me) codec st' in
-                (label, rep, key, orbit))
-              (successors cfg fr.(!i));
-          i := !i + d
-        done
-      in
-      let flatten () =
-        let fr = !frontier and sl = !succ_lists in
-        let nf = Array.length fr in
-        let offs = Array.make nf 0 in
-        let ncand = ref 0 in
-        for i = 0 to nf - 1 do
-          offs.(i) <- !ncand;
-          ncand := !ncand + List.length sl.(i)
-        done;
-        let ncand = !ncand in
-        let cs = Array.make ncand rep0 in
-        let ck = Array.make ncand "" in
-        let co = Array.make ncand 0 in
-        let ow = Array.make ncand 0 in
-        for i = 0 to nf - 1 do
-          List.iteri
-            (fun j (_, st', key, orbit) ->
-              cs.(offs.(i) + j) <- st';
-              ck.(offs.(i) + j) <- key;
-              co.(offs.(i) + j) <- orbit;
-              ow.(offs.(i) + j) <- state_owner st')
-            sl.(i)
-        done;
-        offsets := offs;
-        cand_state := cs;
-        cand_key := ck;
-        cand_orbit := co;
-        cand_owner := ow;
-        resolved := Array.make ncand (-1);
-        cand_id := Array.make ncand (-1)
-      in
-      let phase_b me =
-        let ck = !cand_key and ow = !cand_owner and rs = !resolved in
-        let tbl = shard_tbl.(me) and scr = scratch.(me) in
-        Array.iteri
-          (fun k o ->
-            if o = me then
-              let key = ck.(k) in
-              match Hashtbl.find_opt tbl key with
-              | Some id -> rs.(k) <- id
-              | None -> (
-                match Hashtbl.find_opt scr key with
-                | Some k0 -> rs.(k) <- -2 - k0
-                | None ->
-                  Hashtbl.add scr key k;
-                  rs.(k) <- -1))
-          ow
-      in
-      (* The one inherently sequential step: replay the candidate scan the
-         sequential explorer would have done, in the same order, so fresh
-         states receive identical ids and the budget truncates at the
-         identical point. *)
-      (* per-generation counters stashed for [collect] *)
-      let gen_cand = ref 0 and gen_dups = ref 0 and gen_disc = ref 0 in
-      let assign_ids () =
-        let rs = !resolved and ci = !cand_id and co = !cand_orbit in
-        let ncand = Array.length rs in
-        let discovered = ref 0 and dups = ref 0 in
-        for k = 0 to ncand - 1 do
-          match rs.(k) with
-          | -1 ->
-            if !n_states < max_states then begin
-              ci.(k) <- !n_states;
-              incr n_states;
-              incr discovered;
-              orbit_sum := !orbit_sum + co.(k)
-            end
-            else begin
-              complete := false;
-              set_stop Checker_stats.Budget;
-              ci.(k) <- -1
-            end
-          | r when r >= 0 ->
-            ci.(k) <- r;
-            incr dups
-          | r ->
-            (* duplicate of candidate [-2 - r], already resolved above *)
-            let k0 = -2 - r in
-            ci.(k) <- ci.(k0);
-            if ci.(k0) >= 0 then incr dups
-            else begin
-              complete := false;
-              set_stop Checker_stats.Budget
-            end
-        done;
-        gen_cand := ncand;
-        gen_dups := !dups;
-        gen_disc := !discovered
-      in
-      let phase_c me =
-        let ck = !cand_key and ow = !cand_owner and rs = !resolved
-        and ci = !cand_id in
-        let tbl = shard_tbl.(me) in
-        Array.iteri
-          (fun k o ->
-            if o = me && rs.(k) = -1 && ci.(k) >= 0 then
-              Hashtbl.add tbl ck.(k) ci.(k))
-          ow;
-        Hashtbl.reset scratch.(me);
-        let fr = !frontier
-        and sl = !succ_lists
-        and offs = !offsets
-        and tr = !trans in
-        let nf = Array.length fr in
-        let i = ref me in
-        while !i < nf do
-          let base = offs.(!i) in
-          let j = ref (-1) in
-          tr.(!i) <-
-            List.filter_map
-              (fun (label, _, _, _) ->
-                incr j;
-                let dst = ci.(base + !j) in
-                if dst >= 0 then Some { dst; label } else None)
-              sl.(!i);
-          i := !i + d
-        done
-      in
-      let collect () =
-        let rs = !resolved and ci = !cand_id and cs = !cand_state
-        and co = !cand_orbit in
-        let fresh_rev = ref [] and orb_rev = ref [] in
-        for k = Array.length rs - 1 downto 0 do
-          if rs.(k) = -1 && ci.(k) >= 0 then begin
-            fresh_rev := cs.(k) :: !fresh_rev;
-            orb_rev := co.(k) :: !orb_rev
-          end
-        done;
-        finish_gen ~tr:!trans
-          ~fresh:(Array.of_list !fresh_rev)
-          ~orbs:(Array.of_list !orb_rev)
-          ~ncand:!gen_cand ~dups:!gen_dups ~discovered:!gen_disc
-      in
       let body me =
         let running = ref true in
         while !running do
@@ -1357,73 +1165,51 @@ module Make (P : Protocol.PROTOCOL) = struct
             (* other workers loop straight to the next start barrier *)
           end
           else begin
-            match engine with
-            | Barrier ->
-              guard (fun () -> phase_a me);
-              Parallel.Barrier.wait b;
-              if me = 0 then guard flatten;
-              Parallel.Barrier.wait b;
-              guard (fun () -> phase_b me);
-              Parallel.Barrier.wait b;
-              if me = 0 then guard assign_ids;
-              Parallel.Barrier.wait b;
-              guard (fun () -> phase_c me);
-              Parallel.Barrier.wait b;
-              if me = 0 then guard collect
-            | Sharded ->
-              guard (fun () ->
-                  serve_loop
-                    ~abort:(fun () -> !failure <> None)
-                    ~claim:(fun () -> false)
-                    ~beat:(fun () -> ())
-                    me (ref [ me ]));
-              Parallel.Barrier.wait b;
-              (* all logs complete (or the generation is aborting) *)
-              guard (fun () -> sort_phase me);
-              Parallel.Barrier.wait b;
-              if me = 0 then begin
-                (* never merge a partial generation: a dead worker's
-                   claimed states are missing from the logs *)
-                if !failure = None then guard merge_and_collect;
-                if !failure <> None then stop := true
-              end
+            guard (fun () ->
+                serve_loop
+                  ~abort:(fun () -> !failure <> None)
+                  ~claim:(fun () -> false)
+                  ~beat:(fun () -> ())
+                  me (ref [ me ]));
+            Parallel.Barrier.wait b;
+            (* all logs complete (or the generation is aborting) *)
+            guard (fun () -> sort_phase me);
+            Parallel.Barrier.wait b;
+            if me = 0 then begin
+              (* never merge a partial generation: a dead worker's
+                 claimed states are missing from the logs *)
+              if !failure = None then guard merge_and_collect;
+              if !failure <> None then stop := true
+            end
           end
         done
       in
       (* -------- supervised crew (self-healing choreography) -----------
-         Supervision wraps whichever engine was requested — it no longer
-         swaps the sharded engine for the barrier one. Coordination runs
-         through {e epochs}: work units claimed by compare-and-set from a
-         shared table published as one atomic record.
+         Coordination runs through {e epochs}: work units claimed by
+         compare-and-set from a shared table published as one atomic
+         record.
 
-         Barrier engine under supervision: each parallel phase is an
-         epoch of idempotent units — phase B resets its scratch before
-         resolving, phase C1 inserts with [replace], phases A/C2 write
-         disjoint array slots — so when a worker domain dies the units it
-         had claimed are simply requeued for the survivors and the domain
-         is respawned with bounded, jittered backoff.
+         A wide generation is one attempt whose unit table is the shard
+         LEASE table — claiming unit [u] leases shard [u]'s resolution
+         structures until the attempt ends, and idle slots keep claiming
+         orphaned leases, so a shrunken crew still serves every shard. A
+         death mid-attempt aborts it: the dead slot's worklist claims and
+         buffered handoffs are unrecoverable, so survivors park, the
+         supervisor drains the rings, re-preps the generation and replays
+         it from its (unmutated) inputs, and the dead domain respawns with
+         bounded, jittered backoff. Durable state — shard tables, ids,
+         chunk lists — is only touched by [merge_and_collect] after a
+         clean attempt, which is what makes the replay safe and the merged
+         result bit-identical. The sort phase that follows is idempotent,
+         so it runs as an ordinary epoch: a dead slot's units are simply
+         requeued for the survivors.
 
-         Sharded engine under supervision: the epoch's unit table is the
-         shard LEASE table — claiming unit [u] leases shard [u]'s
-         resolution structures until the generation attempt ends, and
-         idle slots keep claiming orphaned leases, so a shrunken crew
-         still serves every shard. A death mid-attempt is different from
-         the barrier case: the dead slot's worklist claims and buffered
-         handoffs are unrecoverable, so the whole attempt aborts —
-         survivors park, the supervisor drains the rings, re-preps the
-         generation and replays it from its (unmutated) inputs, and the
-         dead domain respawns under the same bounded backoff. Durable
-         state — shard tables, ids, chunk lists — is only touched by
-         [merge_and_collect] after a clean attempt, which is what makes
-         the replay safe and the merged result bit-identical.
-
-         Either way, a domain that is still alive but stops heartbeating
-         while holding work can NOT be requeued safely (it may yet mutate
-         its shard), so after an escalating patience budget the whole
-         attempt is abandoned with {!Resilience.Stalled};
-         {!with_recovery} then resumes from the last durable snapshot. *)
+         A domain that is still alive but stops heartbeating while holding
+         work can NOT be requeued safely (it may yet mutate its shard), so
+         after an escalating patience budget the whole attempt is
+         abandoned with {!Resilience.Stalled}; {!with_recovery} then
+         resumes from the last durable snapshot. *)
       let supervised_drive () =
-        let chunk = 32 in
         let cur =
           Atomic.make { ep_id = 0; ep_units = [||]; ep_fn = (fun _ _ -> ()) }
         in
@@ -1498,8 +1284,8 @@ module Make (P : Protocol.PROTOCOL) = struct
         (* One supervision pass over the crew, shared by every kind of
            epoch. [us] is the unit (or lease) table — a cell at [w + 1]
            means slot [w] holds work. Death is reported through
-           [on_death] (the barrier phases requeue the dead slot's units;
-           the sharded engine aborts the attempt) and the domain respawns
+           [on_death] (the sort epoch requeues the dead slot's units; a
+           generation attempt aborts) and the domain respawns
            under bounded, jittered backoff; a live-but-silent holder gets
            the escalating patience treatment and finally abandonment. *)
         let monitor ~us ~last_hb ~t_mark ~level ~on_death =
@@ -1570,6 +1356,8 @@ module Make (P : Protocol.PROTOCOL) = struct
               end
           done
         in
+        (* An epoch of idempotent units (the sort phase): a dead slot's
+           claimed units go back to the pool for the survivors. *)
         let run_epoch ~n_units fn =
           incr epoch_no;
           let ep =
@@ -1603,82 +1391,9 @@ module Make (P : Protocol.PROTOCOL) = struct
             end
           done
         in
-        let run_parallel_gen () =
-          let nf = Array.length !frontier in
-          let nc = (nf + chunk - 1) / chunk in
-          (* A: expand + canonize, in frontier chunks *)
-          run_epoch ~n_units:nc (fun slot u ->
-              let fr = !frontier and sl = !succ_lists in
-              let lo = u * chunk in
-              let hi = min nf (lo + chunk) in
-              for i = lo to hi - 1 do
-                sl.(i) <-
-                  List.map
-                    (fun (label, st') ->
-                      let rep, key, orbit =
-                        canonize_cached ccs.(slot) codec st'
-                      in
-                      (label, rep, key, orbit))
-                    (successors cfg fr.(i))
-              done);
-          flatten ();
-          (* B: per-shard resolve; the reset makes a requeued redo start
-             from a clean slate (idempotence) *)
-          run_epoch ~n_units:d (fun _ s ->
-              Hashtbl.reset scratch.(s);
-              let ck = !cand_key and ow = !cand_owner and rs = !resolved in
-              let tbl = shard_tbl.(s) and scr = scratch.(s) in
-              Array.iteri
-                (fun k o ->
-                  if o = s then
-                    let key = ck.(k) in
-                    match Hashtbl.find_opt tbl key with
-                    | Some id -> rs.(k) <- id
-                    | None -> (
-                      match Hashtbl.find_opt scr key with
-                      | Some k0 -> rs.(k) <- -2 - k0
-                      | None ->
-                        Hashtbl.add scr key k;
-                        rs.(k) <- -1))
-                ow);
-          assign_ids ();
-          (* C1: per-shard insert; [replace] keeps a redo idempotent *)
-          run_epoch ~n_units:d (fun _ s ->
-              let ck = !cand_key
-              and ow = !cand_owner
-              and rs = !resolved
-              and ci = !cand_id in
-              let tbl = shard_tbl.(s) in
-              Array.iteri
-                (fun k o ->
-                  if o = s && rs.(k) = -1 && ci.(k) >= 0 then
-                    Hashtbl.replace tbl ck.(k) ci.(k))
-                ow;
-              Hashtbl.reset scratch.(s));
-          (* C2: transition lists, in frontier chunks (disjoint slots) *)
-          run_epoch ~n_units:nc (fun _ u ->
-              let sl = !succ_lists
-              and offs = !offsets
-              and ci = !cand_id
-              and tr = !trans in
-              let lo = u * chunk in
-              let hi = min nf (lo + chunk) in
-              for i = lo to hi - 1 do
-                let base = offs.(i) in
-                let j = ref (-1) in
-                tr.(i) <-
-                  List.filter_map
-                    (fun (label, _, _, _) ->
-                      incr j;
-                      let dst = ci.(base + !j) in
-                      if dst >= 0 then Some { dst; label } else None)
-                    sl.(i)
-              done);
-          collect ()
-        in
-        (* ---- one supervised SHARDED generation -------------------------
+        (* ---- one supervised generation ---------------------------------
            The epoch's unit table doubles as the shard lease table:
-           claiming unit [u] (by the very CAS that claims phase work)
+           claiming unit [u] (by the very CAS that claims epoch work)
            leases shard [u] to the claiming slot until the attempt ends.
            A clean attempt drains [pending] to zero exactly like the
            unsupervised crew; a death mid-attempt aborts and replays the
@@ -1798,8 +1513,8 @@ module Make (P : Protocol.PROTOCOL) = struct
           run_epoch ~n_units:d (fun _ s -> sort_phase s);
           merge_and_collect ()
         in
-        (* warm-up, as in the barrier engine; exceptions (a kill aimed at
-           domain 0, an injected allocation failure) propagate to the
+        (* warm-up, as in the unsupervised crew; exceptions (a kill aimed
+           at domain 0, an injected allocation failure) propagate to the
            outer guard *)
         while (not !stop) && !seq_gen do
           expand_seq ()
@@ -1811,9 +1526,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           done;
           Fun.protect ~finally:shutdown (fun () ->
               while not !stop do
-                if !seq_gen then expand_seq ()
-                else if engine = Sharded then run_sharded_gen ()
-                else run_parallel_gen ()
+                if !seq_gen then expand_seq () else run_sharded_gen ()
               done)
         end
       in
@@ -1907,16 +1620,17 @@ module Make (P : Protocol.PROTOCOL) = struct
       ?snapshot_every ?snapshot_to ?resume_from ?mem_soft_limit_mb ?deadline_s
       ?(salvage = false) cfg =
     explore_impl ~max_states ~domains:1 ~par_threshold:0 ~reduction
-      ~engine:Sharded ~handoff_batch:default_handoff_batch
-      ~steal_batch:default_steal_batch ~snapshot_every ~snapshot_to
-      ~resume_from ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise:false cfg
+      ~handoff_batch:default_handoff_batch ~steal_batch:default_steal_batch
+      ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb ~deadline_s
+      ~salvage ~supervise:false cfg
 
   let default_par_threshold ~domains = 1024 * (domains - 1)
 
   let explore_par ?(max_states = 2_000_000) ?domains ?par_threshold
-      ?(reduction = Full) ?(engine = Sharded) ?handoff_batch ?steal_batch
-      ?snapshot_every ?snapshot_to ?resume_from ?mem_soft_limit_mb ?deadline_s
-      ?(salvage = false) ?supervise cfg =
+      ?(reduction = Full) ?(handoff_batch = default_handoff_batch)
+      ?(steal_batch = default_steal_batch) ?snapshot_every ?snapshot_to
+      ?resume_from ?mem_soft_limit_mb ?deadline_s ?(salvage = false) ?supervise
+      cfg =
     let domains =
       match domains with
       | Some d -> max 1 d (* explicit override, even past the host count *)
@@ -1935,13 +1649,7 @@ module Make (P : Protocol.PROTOCOL) = struct
            default the self-healing crew on so the campaign exercises it *)
         Resilience.has_domain_faults ()
     in
-    let handoff_batch =
-      match handoff_batch with Some v -> v | None -> default_handoff_batch
-    in
-    let steal_batch =
-      match steal_batch with Some v -> v | None -> default_steal_batch
-    in
-    explore_impl ~max_states ~domains ~par_threshold ~reduction ~engine
+    explore_impl ~max_states ~domains ~par_threshold ~reduction
       ~handoff_batch ~steal_batch ~snapshot_every ~snapshot_to ~resume_from
       ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise cfg
 
@@ -1955,7 +1663,7 @@ module Make (P : Protocol.PROTOCOL) = struct
          suite cross-checks this on every in-tree protocol). *)
       fst
         (explore_impl ~max_states ~domains:1 ~par_threshold:0 ~reduction
-           ~engine:Sharded ~handoff_batch:default_handoff_batch
+           ~handoff_batch:default_handoff_batch
            ~steal_batch:default_steal_batch ~snapshot_every ~snapshot_to
            ~resume_from ~mem_soft_limit_mb:None ~deadline_s ~salvage
            ~supervise:false cfg)
@@ -2449,16 +2157,15 @@ module Make (P : Protocol.PROTOCOL) = struct
        stamped into the returned statistics as [recoveries]. *)
     let rec go attempt resume =
       match run ~resume_from:resume ~snapshot_to with
-      | (g, stats)
-        when (not g.complete)
+      | (_, stats)
+        when (not stats.Checker_stats.complete)
              && (stats.Checker_stats.stop = Checker_stats.Oom
                 || stats.Checker_stats.stop = Checker_stats.Fault)
              && attempt < max_retries ->
-        (* the engine degraded out of an infrastructure failure after
+        (* the explorer degraded out of an infrastructure failure after
            flushing its newest boundary: pick it up and push on *)
         go (attempt + 1) (usable_snapshot ())
-      | g, stats ->
-        (g, { stats with Checker_stats.recoveries = attempt })
+      | r, stats -> (r, { stats with Checker_stats.recoveries = attempt })
       | exception e when transient e && attempt < max_retries ->
         go (attempt + 1) (usable_snapshot ())
     in

@@ -24,27 +24,6 @@ type reduction =
 val reduction_tag : reduction -> string
 (** ["full"] / ["canon"], as rendered by fingerprints and the CLI. *)
 
-(** Choreography of the wide (parallel-mode) generations of
-    {!Make.explore_par}. Both engines produce bit-identical graphs and
-    statistics; they differ only in how the work reaches the domains. *)
-type engine =
-  | Barrier
-      (** phase-per-barrier: expand, flatten, resolve, assign ids,
-          collect — five barriers per generation, every domain in
-          lock-step *)
-  | Sharded
-      (** continuous shard owners (the default): each domain owns a
-          hash-partitioned slice of the visited set, expands its own
-          shard's frontier worklist, resolves arriving candidates
-          immediately and hands cross-shard successors over batched SPSC
-          mailboxes; idle domains steal frontier batches from the
-          heaviest shard. Two barriers per generation (logs complete,
-          logs sorted), then one merge in candidate order replays the
-          sequential id assignment exactly (DESIGN.md §13). *)
-
-val engine_tag : engine -> string
-(** ["barrier"] / ["sharded"], as rendered by benches and the CLI. *)
-
 module Make (P : Protocol.PROTOCOL) : sig
   type config = {
     ids : int array;
@@ -169,7 +148,6 @@ module Make (P : Protocol.PROTOCOL) : sig
     ?domains:int ->
     ?par_threshold:int ->
     ?reduction:reduction ->
-    ?engine:engine ->
     ?handoff_batch:int ->
     ?steal_batch:int ->
     ?snapshot_every:int ->
@@ -186,15 +164,19 @@ module Make (P : Protocol.PROTOCOL) : sig
       [~domains] is honored as given, even beyond the host's recommended
       count — benchmarks that oversubscribe must say so). The
       state-interning table is sharded by structural-state hash with one
-      shard owned per domain; whichever [?engine] (default {!Sharded})
-      choreographs the wide generations, state ids are assigned by a
-      scan in discovery order, so the resulting graph — state numbering,
-      transition lists, [complete] flag — is bit-identical to {!explore}
-      for every input, including when [max_states] truncates the search.
-      [?handoff_batch] (default 64) sizes the sharded engine's cross-shard
-      mailbox batches; [?steal_batch] (default 32) sizes the frontier
-      batches a domain claims from a worklist. Both only shape scheduling,
-      never the result.
+      shard owned per domain. In a wide generation each domain expands
+      its own shard's frontier worklist, resolves arriving candidates
+      immediately and hands cross-shard successors over batched SPSC
+      mailboxes; idle domains steal frontier batches from the heaviest
+      shard. Two barriers close the generation (logs complete, logs
+      sorted), then one merge in candidate order replays the sequential
+      id assignment exactly (DESIGN.md §13), so the resulting graph —
+      state numbering, transition lists, [complete] flag — is
+      bit-identical to {!explore} for every input, including when
+      [max_states] truncates the search. [?handoff_batch] (default 64)
+      sizes the cross-shard mailbox batches; [?steal_batch] (default 32)
+      sizes the frontier batches a domain claims from a worklist. Both
+      only shape scheduling, never the result.
 
       Generations whose frontier is narrower than [par_threshold]
       (default [1024 * (domains - 1)]) run sequentially on worker 0: no
@@ -211,24 +193,22 @@ module Make (P : Protocol.PROTOCOL) : sig
       interrupted and resuming runs use the same explorer settings.
 
       [~supervise:true] (default: on exactly when a {!Resilience} plan
-      with domain faults is armed) wraps whichever [?engine] was
-      requested in the self-healing supervised choreography (DESIGN.md
-      §12, §14): workers claim work by compare-and-set from epoch tables
-      and report heartbeats; a worker domain that dies is respawned with
-      bounded, jittered backoff (the count lands in
-      {!Checker_stats.t.restarts}). Under the {!Barrier} engine the dead
-      slot's idempotent phase units are requeued onto the survivors;
-      under the {!Sharded} engine the epoch table doubles as a shard
-      {e lease} table — a dead owner's shard is reassigned to a survivor
-      by the same CAS claim, the in-flight generation attempt is
-      replayed from its unmutated inputs (rings drained, worklists
-      re-prepped), and a crew that has permanently shrunk still serves
-      every shard. A worker that wedges past an escalating patience
-      budget aborts the attempt with {!Resilience.Stalled} — degraded
-      into a flushed snapshot and a {!Checker_stats.Fault}-truncated
-      result when [~snapshot_to] is set, so {!with_recovery} can resume
-      it. Supervision produces the same bit-identical graph and
-      statistics as the unsupervised engines. *)
+      with domain faults is armed) runs the wide generations in the
+      self-healing supervised choreography (DESIGN.md §12, §14): workers
+      claim work by compare-and-set from epoch tables and report
+      heartbeats; a worker domain that dies is respawned with bounded,
+      jittered backoff (the count lands in {!Checker_stats.t.restarts}).
+      The epoch table doubles as a shard {e lease} table — a dead
+      owner's shard is reassigned to a survivor by the same CAS claim,
+      the in-flight generation attempt is replayed from its unmutated
+      inputs (rings drained, worklists re-prepped), and a crew that has
+      permanently shrunk still serves every shard. A worker that wedges
+      past an escalating patience budget aborts the attempt with
+      {!Resilience.Stalled} — degraded into a flushed snapshot and a
+      {!Checker_stats.Fault}-truncated result when [~snapshot_to] is
+      set, so {!with_recovery} can resume it. Supervision produces the
+      same bit-identical graph and statistics as the unsupervised
+      crew. *)
 
   val external_fingerprint : reduction:reduction -> config -> Digest.t * string
 (** Fingerprint of the external-memory explorer's checkpoints and run
@@ -300,17 +280,16 @@ module Make (P : Protocol.PROTOCOL) : sig
     ?max_retries:int ->
     ?resume_from:string ->
     snapshot_to:string ->
-    (resume_from:string option ->
-    snapshot_to:string ->
-    graph * Checker_stats.t) ->
-    graph * Checker_stats.t
+    (resume_from:string option -> snapshot_to:string -> 'a * Checker_stats.t) ->
+    'a * Checker_stats.t
   (** [with_recovery ~snapshot_to run] drives [run] to a verdict across
-      transient infrastructure failures. [run] is invoked with the resume
-      point to use (initially [?resume_from]) and must checkpoint to
-      [snapshot_to]; when it raises a transient exception
-      ({!Resilience.Killed}, {!Resilience.Stalled},
+      transient infrastructure failures. [run] is any checkpointing
+      explorer — in-RAM ([graph * stats]) or external ([((), stats)]) —
+      invoked with the resume point to use (initially [?resume_from]); it
+      must checkpoint to [snapshot_to]. When it raises a transient
+      exception ({!Resilience.Killed}, {!Resilience.Stalled},
       {!Resilience.Io_fault}, [Out_of_memory], or a corrupt-snapshot
-      {!Snapshot.Error}) — or returns a result truncated by
+      {!Snapshot.Error}) — or returns statistics truncated by
       {!Checker_stats.Oom}/{!Checker_stats.Fault} — the driver probes
       [snapshot_to] with {!Snapshot.read_salvaged} and re-runs from the
       newest loadable boundary (from scratch if none). [max_retries]

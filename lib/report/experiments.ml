@@ -1997,12 +1997,12 @@ let e21_snapshot_overhead speed =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* E22: chaos campaign — seeded faults across the engine matrix       *)
+(* E22: chaos campaign — seeded faults across the explorer matrix     *)
 (* ------------------------------------------------------------------ *)
 
 (* Each row arms a deterministic fault plan against one cell of the
-   (engine x supervision x storage) matrix and reports what the stack
-   did about it: every fault must either be absorbed to a bit-identical
+   (explorer x storage) matrix and reports what the stack did about it:
+   every fault must either be absorbed to a bit-identical
    result (supervision restarts, recovery retries) or surface as an
    honestly tagged degradation — never a hang, a crash, or a silently
    wrong count. `make chaos-soak-smoke` drives the same matrix through
@@ -2025,12 +2025,12 @@ module ChaosRow (P : Protocol.PROTOCOL) = struct
     else if not s.complete then "degraded: " ^ stop_reason_tag s.stop
     else "MISMATCH"
 
-  (* a parallel engine under kills and stalls aimed at its workers;
-     the oracle is the same engine fault-free (bit-identical to the
-     sequential explorer's graph by the engine parity contract, but
-     carrying the parallel run's domain-count and scheduling stats) *)
-  let engine_row ~label ~engine ~domains (cfg : E.config) =
-    let oracle = E.explore_par ~domains ~par_threshold:0 ~engine cfg in
+  (* the parallel explorer under kills and stalls aimed at its workers;
+     the oracle is the same explorer fault-free (bit-identical to the
+     sequential explorer's graph by the parity contract, but carrying
+     the parallel run's domain-count and scheduling stats) *)
+  let supervised_row ~label ~domains (cfg : E.config) =
+    let oracle = E.explore_par ~domains ~par_threshold:0 cfg in
     let plan =
       {
         Resilience.seed = 9;
@@ -2045,7 +2045,7 @@ module ChaosRow (P : Protocol.PROTOCOL) = struct
     in
     with_plan plan (fun () ->
         let g, s =
-          E.explore_par ~domains ~par_threshold:0 ~engine ~supervise:true cfg
+          E.explore_par ~domains ~par_threshold:0 ~supervise:true cfg
         in
         [
           label;
@@ -2133,18 +2133,16 @@ let e22_chaos_matrix _speed =
     Table.make ~id:"E22"
       ~title:
         "Chaos campaign: seeded infrastructure faults across the \
-         (engine x supervision x storage) matrix — absorbed bit-identically \
-         or honestly degraded (Fig 1 mutex, n=2, m=3)"
+         (explorer x storage) matrix — absorbed bit-identically or \
+         honestly degraded (Fig 1 mutex, n=2, m=3)"
       ~header:[ "cell"; "fault plan"; "fired"; "restarts"; "recoveries"; "outcome" ]
       ~notes:
         [
           "\"fired\" counts plan faults that actually matured during the \
            cell. Kills aimed at worker domains are absorbed by the \
-           supervision layer under both engines. \"restarts\" counts \
-           monitor-scheduled respawns only, and can legitimately read \
-           zero even with kills fired: the barrier engine may requeue \
-           the dead worker's units onto survivors without respawning, \
-           and the sharded engine may abort the attempt, reclaim the \
+           supervision layer. \"restarts\" counts monitor-scheduled \
+           respawns only, and can legitimately read zero even with kills \
+           fired: the supervisor may abort the attempt, reclaim the \
            orphaned lease and replay with the surviving crew. Faults \
            that take down the whole attempt (supervisor kill, allocation \
            failure, I/O error, torn checkpoint) are retried from the \
@@ -2156,10 +2154,7 @@ let e22_chaos_matrix _speed =
            coordctl CLI with seed-randomized plans (CHAOS_SEED=N).";
         ]
       [
-        ChMutex.engine_row ~label:"sharded + supervise" ~engine:Check.Explore.Sharded
-          ~domains:3 cfg;
-        ChMutex.engine_row ~label:"barrier + supervise" ~engine:Check.Explore.Barrier
-          ~domains:3 cfg;
+        ChMutex.supervised_row ~label:"sharded + supervise" ~domains:3 cfg;
         ChMutex.recovery_row ~label:"seq + with_recovery" cfg;
         ChMutex.quota_row ~label:"disk-visited + quota" cfg;
       ];

@@ -85,8 +85,8 @@ val e21_snapshot_overhead : speed -> Table.t list
     bit-identical to an uninterrupted run (DESIGN.md §10). *)
 
 val e22_chaos_matrix : speed -> Table.t list
-(** Seeded infrastructure-fault campaigns across the (engine x
-    supervision x storage) matrix: worker kills absorbed by supervision,
+(** Seeded infrastructure-fault campaigns across the (explorer x
+    storage) matrix: worker kills absorbed by supervision,
     whole-attempt faults retried from the newest salvageable snapshot,
     disk-visited byte quotas honoured as graceful stops (DESIGN.md §14). *)
 

@@ -179,10 +179,9 @@ module MkCheck (P : Protocol.PROTOCOL) = struct
               E.explore_with_stats ?max_states:cap
                 ~reduction:spec.Spec.reduction ~snapshot_to:snapshot
                 ?resume_from ?deadline_s ~salvage cfg
-            | Spec.Par eng ->
-              E.explore_par ?max_states:cap ~engine:eng
-                ~reduction:spec.Spec.reduction ~snapshot_to:snapshot
-                ?resume_from ?deadline_s ~salvage cfg
+            | Spec.Par ->
+              E.explore_par ?max_states:cap ~reduction:spec.Spec.reduction
+                ~snapshot_to:snapshot ?resume_from ?deadline_s ~salvage cfg
           in
           let stt = st.Check.Checker_stats.n_states in
           let cs =

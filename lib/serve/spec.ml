@@ -2,7 +2,7 @@ let str = Printf.sprintf
 
 type kind = Check | Fuzz | Hunt
 type proto = Mutex | Cmp_mutex | Consensus | Election | Renaming | Ccp
-type engine = Seq | Par of Check.Explore.engine
+type engine = Seq | Par
 
 type t = {
   kind : kind;
@@ -80,15 +80,14 @@ let proto_of_string = function
           mutex|cmp-mutex|consensus|election|renaming|ccp)"
          s)
 
-let engine_to_string = function
-  | Seq -> "seq"
-  | Par e -> Check.Explore.engine_tag e
+(* [Par] renders as "sharded": existing idents, cache keys, spool files
+   and sweep labels name the parallel explorer that way. *)
+let engine_to_string = function Seq -> "seq" | Par -> "sharded"
 
 let engine_of_string = function
   | "seq" -> Ok Seq
-  | "sharded" -> Ok (Par Check.Explore.Sharded)
-  | "barrier" -> Ok (Par Check.Explore.Barrier)
-  | s -> Error (str "unknown engine %S (expected seq|sharded|barrier)" s)
+  | "sharded" -> Ok Par
+  | s -> Error (str "unknown engine %S (expected seq|sharded)" s)
 
 let strategy_to_string = function
   | Check.Hunt.Uniform -> "uniform"

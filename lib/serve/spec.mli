@@ -14,7 +14,9 @@
 
 type kind = Check | Fuzz | Hunt
 type proto = Mutex | Cmp_mutex | Consensus | Election | Renaming | Ccp
-type engine = Seq | Par of Check.Explore.engine
+type engine =
+  | Seq  (** the sequential explorer *)
+  | Par  (** the frontier-parallel explorer; rendered ["sharded"] *)
 
 type t = {
   kind : kind;
@@ -56,6 +58,7 @@ val kind_to_string : kind -> string
 val proto_to_string : proto -> string
 val proto_of_string : string -> (proto, string) result
 val engine_to_string : engine -> string
+val engine_of_string : string -> (engine, string) result
 
 val ident : t -> string
 (** Canonical one-line identity over every result-affecting field

@@ -110,13 +110,7 @@ let parse s =
     match find "engines" with
     | None -> Ok [ Spec.Seq ]
     | Some v ->
-      map_result
-        (function
-          | "seq" -> Ok Spec.Seq
-          | "sharded" -> Ok (Spec.Par Check.Explore.Sharded)
-          | "barrier" -> Ok (Spec.Par Check.Explore.Barrier)
-          | e -> Error (str "unknown engine %S" e))
-        (split_list v)
+      map_result Spec.engine_of_string (split_list v)
   in
   let* fault_seeds =
     match find "faults" with
@@ -295,7 +289,7 @@ let expand s =
                                              reduction)
                                           (match engine with
                                           | Spec.Seq -> ""
-                                          | Spec.Par _ ->
+                                          | Spec.Par ->
                                             "-" ^ Spec.engine_to_string engine)
                                       | Spec.Fuzz -> str "%s-fuzz-s%d" base seed
                                       | Spec.Hunt ->

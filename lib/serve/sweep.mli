@@ -10,7 +10,7 @@
     n          = 2
     m          = 3, 4             # omitted: per-protocol default
     reductions = full, canon
-    engines    = seq              # seq | sharded | barrier
+    engines    = seq              # seq | sharded
     faults     = none, 42         # none, or a Resilience plan seed
     max_states = 200000
     expect     = pass             # regression gate for every cell ...

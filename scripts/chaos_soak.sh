@@ -1,15 +1,15 @@
 #!/bin/sh
-# Chaos soak: sweep the (engine x supervision x disk-visited x fault plan)
-# matrix through the coordctl surface and require, for every cell, either
+# Chaos soak: sweep the (supervision x disk-visited x fault plan) matrix
+# through the coordctl surface and require, for every cell, either
 # bit-identity with the fault-free oracle or an honestly reported
 # degradation — never a hang, a corrupt manifest, or a silently wrong
 # state count.
 #
-#   leg 1  fault-free oracles (seq, par/sharded, par/barrier) pin down
-#          the invariant statistics lines;
-#   leg 2  engine x supervision cells under two seeded fault plans:
-#          sharded and barrier, explicit --supervise and auto-enabled,
-#          must all converge to the par oracle's invariant lines;
+#   leg 1  fault-free oracles (seq, par) pin down the invariant
+#          statistics lines;
+#   leg 2  supervision cells under two seeded fault plans: explicit
+#          --supervise and auto-enabled must both converge to the par
+#          oracle's invariant lines;
 #   leg 3  disk-visited cells under plans widened with storage faults
 #          (--disk-faults: short writes, EIO, ENOSPC, fsync failures)
 #          must converge to the sequential oracle's invariant lines;
@@ -56,31 +56,25 @@ echo "chaos_soak: fault plan seed $SEED (replay with CHAOS_SEED=$SEED)"
 
 "$COORD" explore mutex -m 3 >"$tmp/oracle_seq.txt" 2>&1 \
   || fail "seq oracle exited $?"
-"$COORD" explore mutex -m 3 --par --domains 3 --engine sharded \
+"$COORD" explore mutex -m 3 --par --domains 3 \
   >"$tmp/oracle_par.txt" 2>&1 || fail "par oracle exited $?"
-"$COORD" explore mutex -m 3 --par --domains 3 --engine barrier \
-  >"$tmp/oracle_barrier.txt" 2>&1 || fail "barrier oracle exited $?"
 flat "$tmp/oracle_par.txt" >"$tmp/oracle_par.flat"
-flat "$tmp/oracle_barrier.txt" | diff -u "$tmp/oracle_par.flat" - >&2 \
-  || fail "the two engines disagree with no faults armed"
 
-# --- leg 2: engine x supervision under seeded fault plans ---------------
+# --- leg 2: supervision under seeded fault plans ------------------------
 
-for engine in sharded barrier; do
-  for plan in "$SEED" $((SEED + 1)); do
-    for sup in --supervise ""; do
-      cell="$engine/plan$plan/${sup:-auto}"
-      # shellcheck disable=SC2086
-      timeout 45 "$COORD" explore mutex -m 3 --par --domains 3 \
-        --engine "$engine" $sup --inject-faults "$plan" \
-        --snapshot "$tmp/cell.snap" >"$tmp/cell.txt" 2>"$tmp/cell.err" \
-        || fail "$cell exited $? (stderr: $(cat "$tmp/cell.err"))"
-      grep -q '^fault plan:' "$tmp/cell.txt" \
-        || fail "$cell did not print its fault plan"
-      flat "$tmp/cell.txt" | diff -u "$tmp/oracle_par.flat" - >&2 \
-        || fail "$cell diverged from the fault-free oracle"
-      rm -f "$tmp/cell.snap"
-    done
+for plan in "$SEED" $((SEED + 1)); do
+  for sup in --supervise ""; do
+    cell="plan$plan/${sup:-auto}"
+    # shellcheck disable=SC2086
+    timeout 45 "$COORD" explore mutex -m 3 --par --domains 3 \
+      $sup --inject-faults "$plan" \
+      --snapshot "$tmp/cell.snap" >"$tmp/cell.txt" 2>"$tmp/cell.err" \
+      || fail "$cell exited $? (stderr: $(cat "$tmp/cell.err"))"
+    grep -q '^fault plan:' "$tmp/cell.txt" \
+      || fail "$cell did not print its fault plan"
+    flat "$tmp/cell.txt" | diff -u "$tmp/oracle_par.flat" - >&2 \
+      || fail "$cell diverged from the fault-free oracle"
+    rm -f "$tmp/cell.snap"
   done
 done
 

@@ -20,7 +20,7 @@ module Parity (P : Protocol.PROTOCOL) = struct
     let n_seq = Array.length seq.states in
     List.iter
       (fun d ->
-        (* threshold 0 forces the barrier phases from depth 0; the default
+        (* threshold 0 forces the sharded crew from depth 0; the default
            threshold exercises the sequential warm-up / adaptive path *)
         List.iter
           (fun threshold ->
@@ -51,7 +51,7 @@ module Parity (P : Protocol.PROTOCOL) = struct
               stats.Checker_stats.n_states;
             (match (threshold, d > 1, n_seq > 1) with
             | Some 0, true, true ->
-              (* every generation after depth 0 ran the barrier phases *)
+              (* every generation after depth 0 ran on the sharded crew *)
               Alcotest.(check bool)
                 (tag "cutover recorded")
                 true
@@ -155,14 +155,12 @@ module PBurns = Parity (Baseline.Burns.P)
 let test_burns () =
   PBurns.run (PBurns.E.config ~ids:[ 1; 2; 3 ] ~inputs:[ (); (); () ] ())
 
-(* --- engine matrix: sequential vs barrier vs sharded --------------------
-   The sharded work-stealing engine promises the same bit-identical graph
-   as the barrier engine, for every domain count and any mailbox/steal
-   batch size — batches shape scheduling, never the result. Batch size 1
-   is the adversarial case: every cross-shard candidate rides its own ring
-   slot, maximizing handoff traffic and full-ring backpressure. *)
-
-let engines = [ Explore.Barrier; Explore.Sharded ]
+(* --- engine matrix: sequential vs sharded --------------------------------
+   The sharded work-stealing crew promises the sequential graph bit for
+   bit, for every domain count and any mailbox/steal batch size — batches
+   shape scheduling, never the result. Batch size 1 is the adversarial
+   case: every cross-shard candidate rides its own ring slot, maximizing
+   handoff traffic and full-ring backpressure. *)
 
 let matrix_domains = [ 2; 4 ]
 
@@ -176,46 +174,40 @@ module Matrix (P : Protocol.PROTOCOL) = struct
     List.iter
       (fun domains ->
         List.iter
-          (fun engine ->
-            List.iter
-              (fun (handoff_batch, steal_batch) ->
-                let par, stats =
-                  E.explore_par ?max_states ~domains ~par_threshold:0 ~engine
-                    ?handoff_batch ?steal_batch cfg
-                in
-                let tag what =
-                  Printf.sprintf "%s [%s d=%d hb=%s sb=%s]: %s" P.name
-                    (Explore.engine_tag engine)
-                    domains
-                    (match handoff_batch with
-                    | Some v -> string_of_int v
-                    | None -> "-")
-                    (match steal_batch with
-                    | Some v -> string_of_int v
-                    | None -> "-")
-                    what
-                in
-                Alcotest.(check bool)
-                  (tag "same states") true
-                  (seq.E.states = par.E.states);
-                Alcotest.(check bool)
-                  (tag "same transitions") true
-                  (seq.E.succs = par.E.succs);
-                Alcotest.(check bool)
-                  (tag "same completeness") true
-                  (seq.E.complete = par.E.complete);
-                if stats.Checker_stats.complete then
-                  Alcotest.(check int)
-                    (tag "candidates = states + dedup_hits")
-                    (stats.Checker_stats.n_states
-                   + stats.Checker_stats.dedup_hits)
-                    stats.Checker_stats.candidates;
-                Alcotest.(check int)
-                  (tag "shard loads sum to states")
-                  (Array.length seq.E.states)
-                  (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
-              batch_configs)
-          engines)
+          (fun (handoff_batch, steal_batch) ->
+            let par, stats =
+              E.explore_par ?max_states ~domains ~par_threshold:0
+                ?handoff_batch ?steal_batch cfg
+            in
+            let tag what =
+              Printf.sprintf "%s [sharded d=%d hb=%s sb=%s]: %s" P.name domains
+                (match handoff_batch with
+                | Some v -> string_of_int v
+                | None -> "-")
+                (match steal_batch with
+                | Some v -> string_of_int v
+                | None -> "-")
+                what
+            in
+            Alcotest.(check bool)
+              (tag "same states") true
+              (seq.E.states = par.E.states);
+            Alcotest.(check bool)
+              (tag "same transitions") true
+              (seq.E.succs = par.E.succs);
+            Alcotest.(check bool)
+              (tag "same completeness") true
+              (seq.E.complete = par.E.complete);
+            if stats.Checker_stats.complete then
+              Alcotest.(check int)
+                (tag "candidates = states + dedup_hits")
+                (stats.Checker_stats.n_states + stats.Checker_stats.dedup_hits)
+                stats.Checker_stats.candidates;
+            Alcotest.(check int)
+              (tag "shard loads sum to states")
+              (Array.length seq.E.states)
+              (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
+          batch_configs)
       matrix_domains
 end
 
@@ -234,8 +226,8 @@ let test_engine_matrix () =
   MMutex.run mutex_cfg
 
 let test_engine_matrix_truncated () =
-  (* the budget must cut the merge scan at the exact same candidate in
-     every engine, at every batch size *)
+  (* the budget must cut the merge scan at the exact same candidate as
+     the sequential scan, at every batch size *)
   List.iter
     (fun b ->
       MToy.run ~max_states:b (MToy.E.config ~ids:[ 5; 9 ] ~inputs:[ (); () ] ()))
@@ -243,14 +235,13 @@ let test_engine_matrix_truncated () =
   MMutex.run ~max_states:40 mutex_cfg
 
 (* A worker domain killed by a seeded fault plan mid-campaign: supervised
-   mode must absorb it (respawn, requeue) and still produce the exact
-   sequential graph, whatever engine was requested. *)
+   mode must absorb it (respawn, replay) and still produce the exact
+   sequential graph. *)
 let test_sharded_supervised_kill () =
   let seq = MMutex.E.explore mutex_cfg in
   (* each crew width gets its own seeded kill: the victim's shard lease
-     must be reassigned (or the attempt replayed) without the engine
-     falling back to barrier phases, and the merged graph must still be
-     the sequential oracle's, bit for bit *)
+     must be reassigned (or the attempt replayed), and the merged graph
+     must still be the sequential oracle's, bit for bit *)
   List.iter
     (fun domains ->
       let plan =
@@ -262,8 +253,8 @@ let test_sharded_supervised_kill () =
       Resilience.arm plan;
       Fun.protect ~finally:Resilience.disarm (fun () ->
           let par, stats =
-            MMutex.E.explore_par ~domains ~par_threshold:0
-              ~engine:Explore.Sharded ~supervise:true mutex_cfg
+            MMutex.E.explore_par ~domains ~par_threshold:0 ~supervise:true
+              mutex_cfg
           in
           let lbl msg = Printf.sprintf "d%d: %s" domains msg in
           Alcotest.(check bool)
@@ -327,8 +318,7 @@ let suite =
     Alcotest.test_case "par = seq: peterson" `Quick test_peterson;
     Alcotest.test_case "par = seq: burns" `Quick test_burns;
     Alcotest.test_case "checker stats are coherent" `Quick test_stats_coherent;
-    Alcotest.test_case "engine matrix: barrier = sharded = seq" `Quick
-      test_engine_matrix;
+    Alcotest.test_case "engine matrix: sharded = seq" `Quick test_engine_matrix;
     Alcotest.test_case "engine matrix under budget" `Quick
       test_engine_matrix_truncated;
     Alcotest.test_case "sharded + supervise absorbs a seeded kill" `Quick

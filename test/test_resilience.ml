@@ -153,8 +153,8 @@ let test_mutate_write () =
 
 (* --------------------- supervised engine identity --------------------- *)
 
-(* With no faults armed, the supervised engine must be indistinguishable
-   from the barrier engine: same graph, same stats, both reductions. *)
+(* With no faults armed, the supervised crew must be indistinguishable
+   from the unsupervised one: same graph, same stats, both reductions. *)
 let test_supervised_bit_identity () =
   List.iter
     (fun (rname, reduction) ->
@@ -170,8 +170,8 @@ let test_supervised_bit_identity () =
         0 ss.Checker_stats.restarts)
     [ ("full", Explore.Full); ("canon", Explore.Canon) ]
 
-(* Kill worker domains mid-generation: the supervision layer requeues
-   their units and respawns them; the result must not change by a bit. *)
+(* Kill worker domains mid-generation: the supervision layer replays the
+   attempt and respawns them; the result must not change by a bit. *)
 let test_supervised_absorbs_kills () =
   let c = cfg () in
   let og, os = E.explore_par ~domains:3 ~par_threshold:2 c in
@@ -408,6 +408,49 @@ let test_recovery_from_io_error () =
         (contains ~affix:"\"recoveries\"" (Checker_stats.to_json rs)));
   Sys.remove snap
 
+(* The external-memory explorer under seeded plans widened with storage
+   faults: with_recovery, which the CLI wraps around every explorer,
+   must carry it through whatever fires to the fault-free external
+   run's statistics. Hot cap 8 and a checkpoint per generation
+   keep run files and snapshot chunks in play from the first boundary. *)
+let test_recovery_external_disk_faults () =
+  let c = cfg () in
+  let tmp_dir name =
+    let f = Filename.temp_file ("coordres-" ^ name) ".d" in
+    Sys.remove f;
+    f
+  in
+  let rm_dir dir =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  let odir = tmp_dir "ext-oracle" in
+  let os = E.explore_external ~hot_cap:8 ~dir:odir c in
+  rm_dir odir;
+  List.iter
+    (fun seed ->
+      let snap = tmp_snap "ext" in
+      let dir = tmp_dir "ext" in
+      with_plan (Resilience.plan_of_seed ~disk:true seed) (fun () ->
+          let (), rs =
+            E.with_recovery
+              ~max_retries:(3 + List.length (Resilience.pending ()))
+              ~snapshot_to:snap
+              (fun ~resume_from ~snapshot_to ->
+                ( (),
+                  E.explore_external ~hot_cap:8 ~snapshot_every:1 ~snapshot_to
+                    ?resume_from ~salvage:true ~dir c ))
+          in
+          let tag = Printf.sprintf "external, plan %d" seed in
+          Alcotest.(check bool) (tag ^ ": faults fired") true
+            (Resilience.fired () >= 1);
+          Alcotest.(check bool) (tag ^ ": retried") true
+            (rs.Checker_stats.recoveries >= 1);
+          check_stats tag os rs);
+      rm_dir dir;
+      Sys.remove snap)
+    [ 29; 30 ]
+
 (* A short write damages snapshot bytes without raising; the CRC layer
    must flag the chunk and salvage must still land on the oracle. *)
 let test_short_write_salvage () =
@@ -485,6 +528,8 @@ let suite =
       test_disk_injection_points;
     Alcotest.test_case "with_recovery: EIO and fsync failure" `Quick
       test_recovery_from_io_error;
+    Alcotest.test_case "with_recovery: external explorer, disk faults" `Quick
+      test_recovery_external_disk_faults;
     Alcotest.test_case "short snapshot write salvaged" `Quick
       test_short_write_salvage;
     Alcotest.test_case "deadline stops gracefully, resume completes" `Quick

@@ -17,6 +17,11 @@ let spec_check ?max_states ?deadline_s ?priority ?(m = 3) () =
   Serve.Spec.make ?max_states ?deadline_s ?priority ~m Serve.Spec.Check
     Serve.Spec.Mutex
 
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
 let tmp_dir name =
   let d = Filename.temp_file ("coordserve-" ^ name) ".d" in
   Sys.remove d;
@@ -48,6 +53,9 @@ let check_stats_list tag (a : Check.Checker_stats.t list)
 (* ------------------------------ spec ---------------------------------- *)
 
 let test_spec_roundtrip () =
+  let par =
+    Serve.Spec.make ~engine:Serve.Spec.Par Serve.Spec.Check Serve.Spec.Mutex
+  in
   let specs =
     [
       spec_check ~max_states:1000 ~deadline_s:1.5 ~priority:3 ();
@@ -55,6 +63,7 @@ let test_spec_roundtrip () =
         Serve.Spec.Consensus;
       Serve.Spec.make ~steps:500 ~strategy:Check.Hunt.Chaos Serve.Spec.Hunt
         Serve.Spec.Renaming;
+      par;
     ]
   in
   List.iter
@@ -71,6 +80,12 @@ let test_spec_roundtrip () =
     (Serve.Spec.make Serve.Spec.Check Serve.Spec.Mutex).Serve.Spec.m;
   Alcotest.(check int) "consensus default m at n=3" 5
     (Serve.Spec.make ~n:3 Serve.Spec.Check Serve.Spec.Consensus).Serve.Spec.m;
+  (* the parallel engine keeps the name spool files and cache idents
+     carry *)
+  Alcotest.(check bool) "par renders engine=sharded in to_line" true
+    (contains ~affix:"engine=sharded" (Serve.Spec.to_line par));
+  Alcotest.(check bool) "par renders engine=sharded in ident" true
+    (contains ~affix:"engine=sharded" (Serve.Spec.ident par));
   (* priority is scheduling, not identity *)
   Alcotest.(check string) "priority not in ident"
     (Serve.Spec.ident (spec_check ()))
@@ -78,6 +93,11 @@ let test_spec_roundtrip () =
   (match Serve.Spec.parse "kind = check" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing proto must not parse");
+  (match Serve.Spec.parse "kind = check\nproto = mutex\nengine = barrier" with
+  | Error e ->
+    Alcotest.(check bool) ("engine = barrier names seq|sharded: " ^ e) true
+      (contains ~affix:"seq|sharded" e)
+  | Ok _ -> Alcotest.fail "engine = barrier must not parse");
   match Serve.Spec.parse "kind = check\nproto = mutex\nfrobnicate = 1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must not parse"

@@ -18,6 +18,11 @@ let parse_exn s =
   | Ok spec -> spec
   | Error e -> Alcotest.fail ("sweep spec did not parse: " ^ e)
 
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
 let tmp_dir name =
   let d = Filename.temp_file ("coordsweep-" ^ name) ".d" in
   Sys.remove d;
@@ -75,7 +80,15 @@ let test_expand_deterministic_duplicate_free () =
   let cells = Serve.Sweep.expand spec in
   Alcotest.(check (list string)) "fault seed is part of the cell identity"
     [ "mutex-n2-m2-full"; "mutex-n2-m2-full-f42" ]
-    (List.map (fun (c : Serve.Sweep.cell) -> c.label) cells)
+    (List.map (fun (c : Serve.Sweep.cell) -> c.label) cells);
+  (* the engine axis keeps its labels: seq cells are bare, parallel ones
+     end in -sharded *)
+  let spec =
+    parse_exn "name = e\nprotocols = mutex\nm = 3\nengines = seq, sharded\n"
+  in
+  Alcotest.(check (list string)) "engine axis labels"
+    [ "mutex-n2-m3-full"; "mutex-n2-m3-full-sharded" ]
+    (List.map (fun (c : Serve.Sweep.cell) -> c.label) (Serve.Sweep.expand spec))
 
 let test_parse_rejects () =
   let bad =
@@ -92,7 +105,12 @@ let test_parse_rejects () =
       match Serve.Sweep.parse s with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (tag ^ ": must not parse"))
-    bad
+    bad;
+  match Serve.Sweep.parse "protocols = mutex\nengines = seq, barrier\n" with
+  | Error e ->
+    Alcotest.(check bool) ("engines = barrier names seq|sharded: " ^ e) true
+      (contains ~affix:"seq|sharded" e)
+  | Ok _ -> Alcotest.fail "engines = barrier must not parse"
 
 (* ------------------- verdicts match coordctl check -------------------- *)
 
