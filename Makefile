@@ -57,8 +57,8 @@ resume-smoke: build
 resilience-smoke: build
 	timeout $(RESILIENCE_SMOKE_TIMEOUT) scripts/resilience_smoke.sh _build/default/bin/coordctl.exe
 
-# Chaos soak: sweep the (supervision x disk-visited x fault plan)
-# matrix through coordctl, requiring each cell to be bit-identical
+# Chaos soak: sweep the (parallel / disk-visited x fault plan) matrix
+# through coordctl, requiring each cell to be bit-identical
 # to its fault-free oracle or an honestly reported degradation (disk
 # quota -> stop reason disk_full, checkpoint intact, resume exact).
 # Every cell runs under its own timeout; the campaign prints its seed
@@ -142,11 +142,11 @@ bench-canon:
 	timeout 60 dune exec bench/check_throughput.exe -- --quick --reps 3 \
 	  --gate-canon 0.9 $(if $(FORCE),--force)
 
-# The sharded-engine wall-clock gate, part of `make check`: on hosts with
-# 2+ domains the sharded work-stealing explorer must be at least as fast
-# as the sequential reference on the >10^5-state scaling workload; on a
-# single-domain host the comparison is recorded as skipped and the gate
-# passes vacuously.
+# The parallel-explorer wall-clock gate, part of `make check`: on hosts
+# with 2+ domains the map-then-intern parallel explorer must be at least
+# as fast as the sequential reference on the >10^5-state scaling
+# workload; on a single-domain host the comparison is recorded as
+# skipped and the gate passes vacuously.
 bench-shard:
 	timeout 300 dune exec bench/check_throughput.exe -- --quick --reps 3 \
 	  --gate-shard 1.0 $(if $(FORCE),--force)

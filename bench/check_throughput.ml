@@ -29,8 +29,8 @@
 
    Two further kinds of workload ride on the same harness:
 
-   - shard-vs-seq: a multi-domain scaling curve of the sharded
-     work-stealing explorer against the sequential one, one row per
+   - shard-vs-seq: a multi-domain scaling curve of the parallel
+     (map-then-intern) explorer against the sequential one, one row per
      domain count. --gate-shard RATIO turns the rows into a CI
      gate on graphs above 10^5 states (`make bench-shard` wires it in at
      1.0); on a single-domain host every parallel comparison is recorded
@@ -549,8 +549,9 @@ let () =
   add
     (SMutex.par_vs_seq ~label:"amutex-m5" ~domains
        { ids = [| 7; 13 |]; inputs = [| (); () |]; namings = rot2 5 });
-  (* --- scaling: sharded vs seq at 2..domains, on a full graph big
-     enough for the gate (227k states > the 10^5 floor) --- *)
+  (* --- scaling: parallel vs seq at 2..domains, on a full graph big
+     enough for the gate (227k states > the 10^5 floor); rows keep the
+     "sharded" label of the BENCH_checker.json history --- *)
   add_all
     (SMutex.scaling_curve ~label:"amutex-m3-n3" ~domains
        { ids = ids 3; inputs = units 3; namings = sym 3 3 });
@@ -619,7 +620,7 @@ let () =
   match !gate_shard with
   | None -> ()
   | Some ratio ->
-    (* the sharded engine must beat sequential on graphs big enough to
+    (* the parallel explorer must beat sequential on graphs big enough to
        amortize domain startup (> 10^5 states); single-domain hosts have
        only skipped rows and pass vacuously *)
     let eligible =

@@ -96,8 +96,8 @@ let simulate (proto : Spec.proto) n m seed steps show_trace =
    graph's, see DESIGN.md §9). [--max-states] truncates; [--snapshot-dir]
    checkpoints each naming's exploration so a truncated or interrupted
    sweep can be resumed with [--resume] (see DESIGN.md §10). [--deadline]
-   bounds wall clock; [--salvage]/[--supervise]/[--inject-faults] are the
-   self-healing surface (see DESIGN.md §12). *)
+   bounds wall clock; [--salvage]/[--inject-faults] are the self-healing
+   surface (see DESIGN.md §12). *)
 type chk_opts = {
   par : bool;
   domains : int option;
@@ -109,7 +109,6 @@ type chk_opts = {
   resume : string option;
   deadline_s : float option;
   salvage : bool;
-  supervise : bool option;
   recover : bool;  (** wrap explorations in [with_recovery] (fault campaigns) *)
   saw_deadline : bool ref;
       (** set when any exploration in the sweep stopped on the deadline,
@@ -128,7 +127,6 @@ let default_chk_opts =
     resume = None;
     deadline_s = None;
     salvage = false;
-    supervise = None;
     recover = false;
     saw_deadline = ref false;
   }
@@ -153,7 +151,7 @@ module Chk (P : Protocol.PROTOCOL) = struct
         E.explore_par ?max_states:opts.max_states ?domains:opts.domains
           ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
           ?deadline_s:opts.deadline_s ~salvage:opts.salvage
-          ?supervise:opts.supervise ~reduction:opts.reduction cfg
+          ~reduction:opts.reduction cfg
       else
         E.explore_with_stats ?max_states:opts.max_states
           ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
@@ -164,7 +162,7 @@ module Chk (P : Protocol.PROTOCOL) = struct
       match (opts.recover, snapshot_to) with
       | true, Some snap ->
         (* fault campaign: transient infrastructure failures (killed
-           supervisor, allocation failure, corrupt checkpoint) retry from
+           domain 0, allocation failure, corrupt checkpoint) retry from
            the newest salvageable snapshot instead of failing the sweep *)
         E.with_recovery ?resume_from ~snapshot_to:snap
           (fun ~resume_from ~snapshot_to ->
@@ -315,11 +313,10 @@ let reduction_of_flags ~canon ~no_canon =
    fingerprint mismatch with every swept configuration); 6 the --deadline
    expired (graceful stop at a generation boundary, snapshot flushed). *)
 let check (proto : Spec.proto) n m par domains stats canon no_canon max_states
-    snapshot_dir snapshot_every resume deadline salvage supervise inject =
+    snapshot_dir snapshot_every resume deadline salvage inject =
   let reduction = reduction_of_flags ~canon ~no_canon in
   (* --inject-faults SEED arms a deterministic infrastructure-fault plan
      and implies the rest of the self-healing stack: snapshot salvage,
-     supervised workers (auto-enabled by the armed domain faults),
      with_recovery retries, and somewhere to recover from — a private
      snapshot dir is synthesized when none was given. The plan seed is
      printed so the whole campaign can be replayed. *)
@@ -354,7 +351,6 @@ let check (proto : Spec.proto) n m par domains stats canon no_canon max_states
       resume;
       deadline_s = deadline;
       salvage = salvage || inject <> None;
-      supervise = (if supervise then Some true else None);
       recover = inject <> None;
       saw_deadline = ref false;
     }
@@ -1324,7 +1320,7 @@ module Xpl (P : Protocol.PROTOCOL) = struct
 
   let explore ~n ~m ~rot ~inputs ~reduction ~par ~domains ~max_states ~depths
       ~snapshot_to ~snapshot_every ~resume_from ~deadline_s ~salvage
-      ~supervise ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
+      ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
     if reduction = Check.Explore.Canon && E.canon_degraded ~n then
       Format.printf
         "note: --canon degraded to the identity group (%s): exploring the \
@@ -1347,9 +1343,7 @@ module Xpl (P : Protocol.PROTOCOL) = struct
       | None when par ->
         snd
           (E.explore_par ?max_states ?domains ?snapshot_every ?snapshot_to
-             ?resume_from ?deadline_s ~salvage
-             ?supervise:(if supervise then Some true else None)
-             ~reduction cfg)
+             ?resume_from ?deadline_s ~salvage ~reduction cfg)
       | None ->
         snd
           (E.explore_with_stats ?max_states ?snapshot_every ?snapshot_to
@@ -1399,8 +1393,8 @@ module Xpl (P : Protocol.PROTOCOL) = struct
 end
 
 let explore (proto : Spec.proto) n m rot par domains canon no_canon max_states
-    depths snapshot_to snapshot_every resume_from deadline_s salvage supervise
-    inject disk_faults disk_quota disk_visited disk_hot_cap =
+    depths snapshot_to snapshot_every resume_from deadline_s salvage inject
+    disk_faults disk_quota disk_visited disk_hot_cap =
   let reduction = reduction_of_flags ~canon ~no_canon in
   (* --inject-faults on explore mirrors `check`: the plan is printed for
      replay, a private checkpoint file is synthesized when none was given
@@ -1435,13 +1429,13 @@ let explore (proto : Spec.proto) n m rot par domains canon no_canon max_states
       let module X = Xpl (Coord.Amutex.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Cmp_mutex ->
       let module X = Xpl (Coord.Cmp_mutex.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Consensus ->
       let module X = Xpl (Coord.Consensus.P) in
@@ -1449,25 +1443,25 @@ let explore (proto : Spec.proto) n m rot par domains canon no_canon max_states
          distinct inputs *)
       X.explore ~n ~m ~rot ~inputs:(Array.make n 42) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Election ->
       let module X = Xpl (Coord.Election.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Renaming ->
       let module X = Xpl (Coord.Renaming.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Ccp ->
       let module X = Xpl (Coord.Ccp.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
   with
   | exception Check.Snapshot.Error e ->
@@ -1552,7 +1546,12 @@ let simulate_cmd =
 let par_arg =
   Arg.(
     value & flag
-    & info [ "par" ] ~doc:"Use the frontier-parallel explorer.")
+    & info [ "par" ]
+        ~doc:
+          "Use the frontier-parallel explorer: worker domains map chunks \
+           of each wide frontier, domain 0 interns them in order, so the \
+           graph and verdicts are the sequential explorer's. Dead or \
+           stalled workers are absorbed: their chunks are mapped again.")
 
 let domains_arg =
   Arg.(
@@ -1648,18 +1647,6 @@ let salvage_arg =
            checkpoint chunk instead of rejecting the file with exit 4; \
            what was dropped is reported on stderr.")
 
-let supervise_arg =
-  Arg.(
-    value & flag
-    & info [ "supervise" ]
-        ~doc:
-          "With $(b,--par), run worker domains under a supervisor that \
-           detects dead workers, hands their shards to survivors (replaying \
-           the interrupted generation) and respawns them (bounded restarts \
-           with backoff) instead of hanging. Results stay bit-identical to \
-           the unsupervised explorer. Enabled automatically by \
-           $(b,--inject-faults).")
-
 let inject_arg =
   Arg.(
     value
@@ -1668,11 +1655,12 @@ let inject_arg =
         ~doc:
           "Arm the deterministic infrastructure-fault plan derived from \
            $(i,SEED): worker-domain kills and stalls, torn or bit-flipped \
-           snapshot writes, an allocation failure (DESIGN.md §12). \
-           Implies $(b,--salvage), supervision and crash-recovery — \
-           explorations retry from the newest salvageable snapshot, and a \
-           private snapshot dir is synthesized when $(b,--snapshot-dir) \
-           is absent. The plan is printed so the whole campaign replays \
+           snapshot writes, an allocation failure (DESIGN.md §12). With \
+           $(b,--par), a killed or stalled worker's chunks are mapped \
+           again and dead workers respawn. Implies $(b,--salvage) and \
+           crash-recovery — explorations retry from the newest \
+           salvageable snapshot, and a private snapshot dir is \
+           synthesized when $(b,--snapshot-dir) is absent. The plan is printed so the whole campaign replays \
            from the seed.")
 
 let check_exits =
@@ -1706,7 +1694,7 @@ let check_cmd =
         (const check $ proto_arg $ n_arg $ m_arg $ par_arg $ domains_arg
        $ stats_arg $ canon_arg $ no_canon_arg $ max_states_arg
        $ snapshot_dir_arg $ snapshot_every_arg $ resume_arg $ deadline_arg
-       $ salvage_arg $ supervise_arg $ inject_arg))
+       $ salvage_arg $ inject_arg))
 
 let explore_cmd =
   let doc = "explore one configuration and print checker statistics" in
@@ -1797,7 +1785,7 @@ let explore_cmd =
         (const explore $ proto_arg $ n_arg $ m_arg $ rot $ par_arg
        $ domains_arg $ canon_arg $ no_canon_arg $ max_states $ depths
        $ snapshot $ snapshot_every_arg $ resume_arg $ deadline_arg
-       $ salvage_arg $ supervise_arg $ inject_arg $ disk_faults
+       $ salvage_arg $ inject_arg $ disk_faults
        $ disk_quota $ disk_visited $ disk_hot_cap))
 
 let bench_cmd =

@@ -12,7 +12,6 @@ type stop_reason =
   | Interrupted
   | Deadline
   | Oom
-  | Fault
   | Disk_full
 
 let stop_reason_tag = function
@@ -21,7 +20,6 @@ let stop_reason_tag = function
   | Interrupted -> "interrupted"
   | Deadline -> "deadline"
   | Oom -> "oom"
-  | Fault -> "fault"
   | Disk_full -> "disk_full"
 
 type t = {
@@ -48,8 +46,6 @@ type t = {
   sig_pruned : int;
   canon_hits : int;
   cutover : int option;
-  steals : int;
-  handoffs : int;
   spilled_runs : int;
   disk_probes : int;
   depths : depth_sample list;
@@ -74,8 +70,7 @@ let equal_ignoring_time a b =
      its (cold) caches, so the bit-identity relation must ignore them.
      [restarts] likewise counts infrastructure weather (how many worker
      domains died and were respawned), not anything about the graph —
-     as do [recoveries] (whole attempts [with_recovery] retried),
-     [steals]/[handoffs] (scheduling luck in the sharded engine)
+     as do [recoveries] (whole attempts [with_recovery] retried)
      and [spilled_runs]/[disk_probes] (where the memory watermark
      happened to trip, and how much of a resumed run's probing the
      interrupted run had already paid for). *)
@@ -87,8 +82,6 @@ let equal_ignoring_time a b =
       canon_hits = 0;
       restarts = 0;
       recoveries = 0;
-      steals = 0;
-      handoffs = 0;
       spilled_runs = 0;
       disk_probes = 0;
     }
@@ -142,10 +135,6 @@ let pp ppf t =
       "@,recovery: %d attempt%s retried from the newest salvageable state"
       t.recoveries
       (if t.recoveries = 1 then "" else "s");
-  if t.steals > 0 || t.handoffs > 0 then
-    Format.fprintf ppf
-      "@,sharding: %d cross-shard handoff batches, %d frontier batches stolen"
-      t.handoffs t.steals;
   if t.spilled_runs > 0 || t.disk_probes > 0 then
     Format.fprintf ppf
       "@,disk visited: %d sorted runs spilled, %d batched probes" t.spilled_runs
@@ -200,8 +189,6 @@ let to_json t =
   field "stop" (Printf.sprintf "%S" (stop_reason_tag t.stop));
   field "restarts" (string_of_int t.restarts);
   field "recoveries" (string_of_int t.recoveries);
-  field "steals" (string_of_int t.steals);
-  field "handoffs" (string_of_int t.handoffs);
   field "spilled_runs" (string_of_int t.spilled_runs);
   field "disk_probes" (string_of_int t.disk_probes);
   field ~last:true "complete" (string_of_bool t.complete);

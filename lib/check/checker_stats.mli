@@ -3,7 +3,7 @@
     Every exploration (sequential or frontier-parallel) can report what it
     did: states per second, the frontier profile per BFS depth, how often
     candidate successors deduplicated against already-known states, and how
-    evenly the state space spread over the hash-partitioned shards. The
+    evenly the state space spreads over structural-hash classes. The
     record is plain data so benchmark harnesses can serialize it
     (see {!to_json}) into BENCH_*.json entries. *)
 
@@ -27,9 +27,6 @@ type stop_reason =
   | Oom
       (** [Out_of_memory] was degraded into a flushed boundary instead of
           a crash *)
-  | Fault
-      (** the supervised parallel engine gave up (a stalled domain
-          outlived its patience budget) and salvaged the last boundary *)
   | Disk_full
       (** the disk-backed visited set hit its byte quota: spilling
           stopped and the run was cut at an exact boundary instead of
@@ -52,19 +49,20 @@ type t = {
           generated successor. On a complete run
           [candidates = n_states + dedup_hits]. *)
   dedup_hits : int;  (** total candidates that were already known *)
-  shard_load : int array;  (** states owned per shard; [|n_states|] when
-                               sequential *)
+  shard_load : int array;
+      (** states per structural-hash class mod [domains]; [|n_states|]
+          when [domains = 1] *)
   elapsed_s : float;
   complete : bool;
   stop : stop_reason;  (** {!Completed} iff [complete] *)
   restarts : int;
-      (** worker domains the supervised parallel engine detected dead and
-          respawned; 0 outside supervised mode *)
+      (** worker domains the parallel explorer found dead and respawned;
+          0 without domain faults *)
   recoveries : int;
       (** whole exploration attempts {!Explore.Make.with_recovery}
           retried after a transient infrastructure failure (killed
-          supervisor, stall abandonment, allocation failure, corrupt
-          snapshot, injected I/O fault); 0 outside the recovery driver.
+          domain 0, allocation failure, corrupt snapshot, injected I/O
+          fault); 0 outside [with_recovery].
           Infrastructure weather, scrubbed by {!equal_ignoring_time}. *)
   canon : bool;  (** explored the symmetry quotient, not the full graph *)
   degraded : bool;
@@ -85,14 +83,6 @@ type t = {
       (** BFS depth at which the explorer switched from its sequential
           warm-up to parallel generations; [None] when the whole run
           stayed sequential (small frontier or [domains = 1]) *)
-  steals : int;
-      (** frontier batches an idle domain took from another shard's
-          worklist (sharded engine); scheduling weather, scrubbed by
-          {!equal_ignoring_time} *)
-  handoffs : int;
-      (** cross-shard candidate batches pushed over the SPSC mailboxes
-          (sharded engine); depends on batch size and timing, scrubbed by
-          {!equal_ignoring_time} *)
   spilled_runs : int;
       (** sorted immutable runs the disk-backed visited set wrote; 0 for
           in-RAM explorations *)
@@ -123,8 +113,7 @@ val equal_ignoring_time : t -> t -> bool
     never reproduce), the cache-effectiveness counters [sig_pruned] and
     [canon_hits] (which depend on domain count and on where a resume
     restarted its cold caches), and the infrastructure-weather counters
-    [restarts], [recoveries], [steals], [handoffs], [spilled_runs] and
-    [disk_probes]
+    [restarts], [recoveries], [spilled_runs] and [disk_probes]
     (scheduling luck and watermark timing, not graph facts). This is the
     "bit-identical statistics"
     relation the checkpoint/resume tests assert: a truncated-then-resumed

@@ -214,8 +214,7 @@ module Make (P : Protocol.PROTOCOL) = struct
      order — which is precisely the FIFO order the sequential reference
      explorer would expand them in, so continuing from a snapshot is
      indistinguishable from never having stopped. The codec dump keeps
-     packed keys byte-identical across the resume, which keeps shard
-     assignment (and therefore [shard_load]) bit-identical too. *)
+     packed keys byte-identical across the resume. *)
   type snapshot_payload = {
     sp_states : state array;
     sp_orbits : int array;
@@ -315,43 +314,51 @@ module Make (P : Protocol.PROTOCOL) = struct
      discovered generation by generation: every state at depth d gets an id
      below every state at depth d+1, and within one generation ids follow
      (expanded-state id ascending, successor position ascending). The
-     parallel explorer reproduces exactly that order.
+     parallel explorer reproduces exactly that order by splitting a
+     generation into a pure map and an ordered intern.
 
-     Generations start sequential: while the frontier is narrower than
-     [par_threshold] the crew's synchronization costs more than the
-     expansion work, so worker 0 expands the whole generation alone
-     (before any domain is spawned at all, if the warm-up is still
-     running). Once the frontier first reaches the threshold, the worker
-     domains spawn — that depth is recorded as the [cutover] stat — and
-     each wide generation is served by the sharded owners ("one wide
-     generation" below). Narrow generations after the cutover (a draining
-     frontier) drop back to sequential expansion by worker 0. The result
-     is bit-identical to [explore] on every input and every mode
-     schedule, which the test suite cross-checks for every in-tree
-     protocol. *)
+     Narrow generations (frontier below [par_threshold]) and every
+     generation at [domains = 1] run on domain 0 alone, interning each
+     candidate as it is produced. Once the frontier first reaches the
+     threshold the worker domains spawn — that depth is recorded as the
+     [cutover] stat — and each wide generation is cut into chunks. Any
+     domain may map a chunk: successors, canonical representatives, keys
+     and orbits, work that touches no shared table. Domain 0 interns the
+     mapped chunks in frontier order through the same [intern] the
+     sequential generation uses, so the ids are the sequential ids by
+     construction, on every input and every schedule.
 
-  (* Supervised-crew work epoch. Published as ONE atomic record so a
-     worker can never pair one epoch's unit table with another epoch's
-     work function. Unit cells: 0 unclaimed, [slot + 1] claimed by that
-     crew slot, -1 done. *)
-  type epoch = {
-    ep_id : int;
-    ep_units : int Atomic.t array;
-    ep_fn : int -> int -> unit;  (** slot -> unit index *)
+     Supervising a pure chunk means mapping it again: domain 0 maps any
+     chunk whose worker died or has held it past [stall_patience_s]
+     itself, and respawns dead workers (at most [max_respawns] times
+     each, counted in [restarts]) at the next wide generation. *)
+
+  (* One mapped candidate: everything [intern] needs, computed off
+     domain 0. *)
+  type cand = { c_label : label; c_rep : state; c_key : string; c_orbit : int }
+
+  (* One wide generation, published to the workers as one atomic record.
+     Chunk [c] covers frontier indices [c * w_chunk, (c + 1) * w_chunk).
+     Claims go through [w_next]; the claimer records itself in
+     [w_owner.(c)] and publishes [w_out.(c)] by setting [w_done.(c)].
+     [w_interning] is the chunk domain 0 interns next. *)
+  type wide = {
+    w_frontier : state array;
+    w_chunk : int;
+    w_next : int Atomic.t;
+    w_interning : int Atomic.t;
+    w_owner : int Atomic.t array;
+    w_done : bool Atomic.t array;
+    w_out : cand list array array;
   }
 
-  (* One cross-shard candidate in flight between two domains of the
-     sharded crew: the candidate key [h_ckey] fixes its place in the
-     sequential discovery order; the rest is what the owning shard needs
-     to resolve it without re-canonizing. *)
-  type handoff = { h_ckey : int; h_key : string; h_rep : state; h_orbit : int }
+  let stall_patience_s = 0.05
+  let max_respawns = 3
 
   let explore_impl ~max_states ~domains ~par_threshold ~reduction
-      ~handoff_batch ~steal_batch ~snapshot_every ~snapshot_to ~resume_from
-      ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise cfg =
+      ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb ~deadline_s
+      ~salvage cfg =
     let d = max 1 domains in
-    let handoff_batch = max 1 handoff_batch in
-    let steal_batch = max 1 steal_batch in
     let n_procs = Array.length cfg.ids in
     let n_registers = Naming.size cfg.namings.(0) in
     let fp = lazy (fingerprint ~reduction cfg) in
@@ -405,11 +412,10 @@ module Make (P : Protocol.PROTOCOL) = struct
     let group_order = max 1 (List.length syms) in
     let canon = reduction = Canon in
     let degraded = canon && Cn.degraded ~n:n_procs in
-    (* one reduction context per worker domain: ctxs are single-threaded,
-       the codec behind them is shared (and CAS-safe) *)
-    let ccs =
-      Array.init d (fun _ -> make_canon_cache codec syms (initial cfg))
-    in
+    (* one reduction context per domain: ctxs are single-threaded, the
+       codec behind them is shared (and CAS-safe) *)
+    let fresh_canon_cache () = make_canon_cache codec syms (initial cfg) in
+    let ccs = Array.init d (fun _ -> fresh_canon_cache ()) in
     let sig_pruned () =
       Array.fold_left
         (fun acc cc ->
@@ -421,10 +427,6 @@ module Make (P : Protocol.PROTOCOL) = struct
       ref (match resumed with Some sp -> sp.sp_cutover | None -> None)
     in
     let orbit_sum = ref 0 in
-    (* Sharded-crew weather counters, one slot per domain (disjoint
-       writes; read after the joins). Never part of bit-identity. *)
-    let steals_ctr = Array.make d 0 in
-    let handoffs_ctr = Array.make d 0 in
     let stats_base ~n_states ~n_transitions ~max_depth ~max_frontier
         ~candidates ~dedup_hits ~shard_load ~complete ~depths =
       {
@@ -451,8 +453,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         sig_pruned = sig_pruned ();
         canon_hits = canon_hits ();
         cutover = !cutover;
-        steals = Array.fold_left ( + ) 0 steals_ctr;
-        handoffs = Array.fold_left ( + ) 0 handoffs_ctr;
         spilled_runs = 0;
         disk_probes = 0;
         depths;
@@ -467,76 +467,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     end
     else begin
       let rep0, _, orbit0 = canonize_cached ccs.(0) codec (initial cfg) in
-      (* Shard s owns every state whose structural hash is s mod d. The
-         hash is over the canonical state, NOT the packed codec key:
-         codec codes are assigned in racy first-encode order during wide
-         generations, so key bytes differ run to run, while the
-         structural hash is a pure function of the state — shard
-         assignment (and the [shard_load] statistic) stays deterministic
-         and therefore reproducible across checkpoint/resume. *)
-      let state_owner (st : state) = Hashtbl.hash st mod d in
-      let shard_tbl : (string, int) Hashtbl.t array =
-        Array.init d (fun _ -> Hashtbl.create 1024)
-      in
-      (* Per-shard scratch: the fresh slot of each new key seen this
-         generation, so later duplicates resolve to it. *)
-      let scratch : (string, int) Hashtbl.t array =
-        Array.init d (fun _ -> Hashtbl.create 256)
-      in
-      let b = Parallel.Barrier.create d in
-      (* ---- sharded-crew plumbing (allocated only when d > 1) --------
-         One SPSC ring per ordered domain pair carries batched cross-shard
-         candidates; per-domain fixed buffers amortize the ring traffic.
-         Each owner keeps a private resolution log of
-         (candidate key, target) pairs — single-writer, merged by worker 0
-         at generation end in candidate-key order, which replays the
-         sequential id assignment exactly. *)
-      let sd = if d > 1 then d else 0 in
-      (* [kmax] bounds successors per state (each of the n processes
-         contributes at most two, via a coin), so
-         [ckey = frontier index * kmax + successor position] is globally
-         unique and sorts by (frontier index, position) — the sequential
-         discovery order. *)
-      let kmax = max 1 (2 * n_procs) in
-      let ring_cap = 64 in
-      let rings =
-        Array.init sd (fun _ ->
-            Array.init sd (fun _ -> Parallel.Spsc.create ~dummy:[||] ring_cap))
-      in
-      let dummy_handoff =
-        { h_ckey = 0; h_key = ""; h_rep = rep0; h_orbit = 0 }
-      in
-      let out_buf =
-        Array.init sd (fun _ ->
-            Array.init sd (fun _ -> Array.make handoff_batch dummy_handoff))
-      in
-      let out_len = Array.init sd (fun _ -> Array.make sd 0) in
-      (* owner-side, single-writer per slot: resolution log, fresh-slot
-         vectors (reversed; slot s = index s after the sort-phase rev) *)
-      let logs : (int * int) list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
-      let sorted_logs : (int * int) array array = Array.make sd [||] in
-      let slot_cnt = Array.make sd 0 in
-      let slot_keys_rev : string list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
-      let slot_reps_rev : state list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
-      let slot_orbs_rev : int list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
-      let slot_keys_arr : string array array = Array.make sd [||] in
-      let slot_reps_arr : state array array = Array.make sd [||] in
-      let slot_orbs_arr : int array array = Array.make sd [||] in
-      (* per-generation: successor labels in position order (disjoint slot
-         writes), per-shard frontier worklists + steal cursors, and the
-         termination counter (unexpanded states + in-flight candidates) *)
-      let gen_labels : label array array ref = ref [||] in
-      let wl : int array array ref = ref [||] in
-      let wl_cursor = Array.init sd (fun _ -> Atomic.make 0) in
-      let pending = Atomic.make 0 in
+      let table : (string, int) Hashtbl.t = Hashtbl.create 1024 in
       (* Exploration state: fresh, or rebuilt from the snapshot. In a
          snapshot all expanded states form the prefix [0, n_expanded) of
          the id order and the pending frontier is the rest. *)
@@ -545,8 +476,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         | None -> ([| rep0 |], [| orbit0 |], [||])
         | Some sp -> (sp.sp_states, sp.sp_orbits, sp.sp_succs)
       in
-      (* Shared per-generation structures. Plain refs: every write is
-         published to the readers of the next phase by the barrier. *)
       let stop = ref false in
       let n_expanded = ref (Array.length init_succs) in
       let frontier =
@@ -561,7 +490,6 @@ module Make (P : Protocol.PROTOCOL) = struct
       let trans_chunks =
         ref (if Array.length init_succs = 0 then [] else [ init_succs ])
       in
-      (* stats accumulators (worker 0 only) *)
       let depth = ref (match resumed with Some sp -> sp.sp_depth | None -> 0) in
       let depths_rev =
         ref (match resumed with Some sp -> sp.sp_depths_rev | None -> [])
@@ -580,70 +508,14 @@ module Make (P : Protocol.PROTOCOL) = struct
       let max_frontier =
         ref (match resumed with Some sp -> sp.sp_max_frontier | None -> 1)
       in
-      let failure = ref None in
-      let fail_mutex = Mutex.create () in
-      let guard f =
-        try f ()
-        with e ->
-          Mutex.lock fail_mutex;
-          (match !failure with None -> failure := Some e | Some _ -> ());
-          Mutex.unlock fail_mutex
-      in
       orbit_sum :=
         (match resumed with Some sp -> sp.sp_orbit_sum | None -> orbit0);
-      (* (Re)build the interning tables. The codec dump keeps re-encoded
-         keys consistent with the interrupted run's; shard ownership is
-         structural, so each state lands back in the shard it owned.
-         States in a snapshot are already canonical — no
-         re-canonicalization here. *)
+      (* (Re)build the intern table. The codec dump keeps re-encoded keys
+         consistent with the interrupted run's. States in a snapshot are
+         already canonical — no re-canonicalization here. *)
       Array.iteri
-        (fun id st ->
-          let key = Cd.encode codec st.mem st.locals in
-          Hashtbl.add shard_tbl.(state_owner st) key id)
+        (fun id st -> Hashtbl.add table (Cd.encode codec st.mem st.locals) id)
         init_states;
-      (* Setup of a wide (parallel-mode) generation, run by the single
-         worker that just closed the previous one — and again by the
-         supervisor when a failed attempt is replayed (the reset below is
-         exactly what makes a retry start from a clean slate). *)
-      let prep_parallel_gen head =
-        let nf = Array.length head in
-        gen_labels := Array.make nf [||];
-        let counts = Array.make d 0 in
-        Array.iter
-          (fun st ->
-            let s = state_owner st in
-            counts.(s) <- counts.(s) + 1)
-          head;
-        let wls = Array.init d (fun s -> Array.make counts.(s) 0) in
-        let fill = Array.make d 0 in
-        Array.iteri
-          (fun i st ->
-            let s = state_owner st in
-            wls.(s).(fill.(s)) <- i;
-            fill.(s) <- fill.(s) + 1)
-          head;
-        wl := wls;
-        for s = 0 to d - 1 do
-          Atomic.set wl_cursor.(s) 0;
-          logs.(s) := [];
-          slot_cnt.(s) <- 0;
-          slot_keys_rev.(s) := [];
-          slot_reps_rev.(s) := [];
-          slot_orbs_rev.(s) := [];
-          Hashtbl.reset scratch.(s)
-        done;
-        (* defensive: a previous generation that aborted on a failure may
-           have left batches in flight *)
-        Array.iter
-          (Array.iter (fun r ->
-               while Parallel.Spsc.try_pop r <> None do () done))
-          rings;
-        Atomic.set pending nf
-      in
-      (* Mode of the generation about to run; worker 0 decides the next
-         one at every generation end. *)
-      let seq_gen = ref (d = 1 || Array.length !frontier < par_threshold) in
-      if not !seq_gen then prep_parallel_gen !frontier;
       (* Batch-carry: under memory pressure a generation's frontier is
          split into prefix batches of at most [batch_cap] states. Graph
          and id order stay bit-identical (expansion still proceeds in id
@@ -711,8 +583,8 @@ module Make (P : Protocol.PROTOCOL) = struct
           (Marshal.to_string payload [])
       in
       (* Close out a generation: record its transitions and stats, append
-         the fresh states (already in id order), stash the resume boundary
-         and pick the next mode. *)
+         the fresh states (already in id order) and stash the resume
+         boundary. *)
       let finish_gen ~tr ~fresh ~orbs ~ncand ~dups ~discovered =
         (* fault seam: a matured Alloc_fail raises [Out_of_memory] here,
            before this generation is committed, exercising the same
@@ -741,7 +613,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           else Array.append !pending_carry fresh
         in
         let nn = Array.length next in
-        if nn = 0 || !failure <> None then stop := true
+        if nn = 0 then stop := true
         else begin
           if nn > !max_frontier then max_frontier := nn;
           (* graceful degradation: past the soft memory watermark, halve
@@ -765,8 +637,6 @@ module Make (P : Protocol.PROTOCOL) = struct
           pending_carry := carry;
           frontier := head;
           incr depth;
-          seq_gen := d = 1 || Array.length head < par_threshold;
-          if not !seq_gen then prep_parallel_gen head;
           (* the run is exact up to this boundary: stash it (O(1)) and
              service periodic durable snapshots *)
           if !complete then begin
@@ -797,763 +667,237 @@ module Make (P : Protocol.PROTOCOL) = struct
           | _ -> ())
         end
       in
-      (* One whole generation, sequentially (worker 0 / warm-up). Interns
-         straight into the shard tables so later parallel generations
-         find the states in the right shard. *)
+      (* The one id assignment, shared by both kinds of generation. Called
+         on the candidates in discovery order; returns the candidate's id,
+         or -1 when the budget drops a new state. *)
+      let gen_cand = ref 0 and gen_dups = ref 0 in
+      let gen_fresh = ref [] and gen_orbs = ref [] in
+      let intern rep key orbit =
+        incr gen_cand;
+        match Hashtbl.find_opt table key with
+        | Some id ->
+          incr gen_dups;
+          id
+        | None when !n_states >= max_states ->
+          complete := false;
+          set_stop Checker_stats.Budget;
+          -1
+        | None ->
+          let id = !n_states in
+          incr n_states;
+          Hashtbl.add table key id;
+          orbit_sum := !orbit_sum + orbit;
+          gen_fresh := rep :: !gen_fresh;
+          gen_orbs := orbit :: !gen_orbs;
+          id
+      in
+      (* Run one generation: [expand i] must return frontier state [i]'s
+         transition list, interning its candidates in successor order;
+         it is called for i = 0, 1, ... in turn. *)
+      let run_gen expand =
+        let n0 = !n_states in
+        gen_cand := 0;
+        gen_dups := 0;
+        gen_fresh := [];
+        gen_orbs := [];
+        let tr = Array.make (Array.length !frontier) [] in
+        for i = 0 to Array.length tr - 1 do
+          tr.(i) <- expand i
+        done;
+        let fresh = Array.of_list (List.rev !gen_fresh) in
+        let orbs = Array.of_list (List.rev !gen_orbs) in
+        gen_fresh := [];
+        gen_orbs := [];
+        finish_gen ~tr ~fresh ~orbs ~ncand:!gen_cand ~dups:!gen_dups
+          ~discovered:(!n_states - n0)
+      in
+      let rec intern_succs = function
+        | [] -> []
+        | (label, st') :: rest ->
+          let rep, key, orbit = canonize_cached ccs.(0) codec st' in
+          let dst = intern rep key orbit in
+          if dst < 0 then intern_succs rest
+          else { dst; label } :: intern_succs rest
+      in
       let expand_seq () =
         let fr = !frontier in
-        let nf = Array.length fr in
-        let tr = Array.make nf [] in
-        let fresh_rev = ref [] in
-        let orb_rev = ref [] in
-        let ncand = ref 0 and dups = ref 0 and discovered = ref 0 in
-        for i = 0 to nf - 1 do
-          (* fault seam: a matured kill/stall for domain 0 fires here *)
-          Resilience.worker_tick ~domain:0;
-          tr.(i) <-
-            List.filter_map
-              (fun (label, st') ->
-                incr ncand;
-                let rep, key, orbit = canonize_cached ccs.(0) codec st' in
-                let tbl = shard_tbl.(state_owner rep) in
-                match Hashtbl.find_opt tbl key with
-                | Some dst ->
-                  incr dups;
-                  Some { dst; label }
-                | None ->
-                  if !n_states >= max_states then begin
-                    complete := false;
-                    set_stop Checker_stats.Budget;
-                    None
-                  end
-                  else begin
-                    let id = !n_states in
-                    incr n_states;
-                    incr discovered;
-                    Hashtbl.add tbl key id;
-                    orbit_sum := !orbit_sum + orbit;
-                    fresh_rev := rep :: !fresh_rev;
-                    orb_rev := orbit :: !orb_rev;
-                    Some { dst = id; label }
-                  end)
-              (successors cfg fr.(i))
-        done;
-        finish_gen ~tr
-          ~fresh:(Array.of_list (List.rev !fresh_rev))
-          ~orbs:(Array.of_list (List.rev !orb_rev))
-          ~ncand:!ncand ~dups:!dups ~discovered:!discovered
+        run_gen (fun i ->
+            (* fault seam: a matured kill/stall for domain 0 fires here *)
+            Resilience.worker_tick ~domain:0;
+            intern_succs (successors cfg fr.(i)))
       in
-      let expand_seq_guarded () =
-        guard expand_seq;
-        if !failure <> None then stop := true
+      (* ---------------- the crew: map on every domain ----------------- *)
+      let map_chunk ~domain w c =
+        let cc = ccs.(domain) in
+        let lo = c * w.w_chunk in
+        let hi = min (Array.length w.w_frontier) (lo + w.w_chunk) in
+        Array.init (hi - lo) (fun k ->
+            Resilience.worker_tick ~domain;
+            List.map
+              (fun (c_label, st') ->
+                let c_rep, c_key, c_orbit = canonize_cached cc codec st' in
+                { c_label; c_rep; c_key; c_orbit })
+              (successors cfg w.w_frontier.(lo + k)))
       in
-      (* ---------------- sharded owners: one wide generation ----------
-         No per-phase barriers: every domain continuously expands frontier
-         states (its own shards' worklists first, stealing from the
-         heaviest shard when dry), resolves candidates its shards own the
-         moment they arrive, and hands the rest over the mailboxes. The
-         only synchronization is the termination counter [pending] plus
-         two barriers at generation end (logs complete; logs sorted),
-         after which worker 0 merges the per-owner logs in candidate-key
-         order — replaying exactly the sequential id scan, so the result
-         is bit-identical to [explore]'s.
-
-         SLOTS and SHARDS are distinct notions throughout: a slot is a
-         crew member (a domain), a shard a partition of the state space.
-         The unsupervised crew pins slot [s] to shard [s] for the whole
-         run ([leased = ref [s]]); the supervised crew hands shards out
-         as LEASES a slot holds until the generation attempt ends, so a
-         crew smaller than [d] — a worker that exhausted its restart
-         budget — still serves every shard, and a dead owner's shard is
-         reassigned to a survivor by the same CAS claim that hands out
-         epoch work. *)
-      let log_add o ckey target = logs.(o) := (ckey, target) :: !(logs.(o)) in
-      (* Owner-side resolution for [shard]; only its current lease holder
-         may call this. Targets: [id >= 0] an already-interned state;
-         [-1 - slot] the [slot]-th distinct fresh key this shard saw this
-         generation. Which arrival creates the slot is a race, but rep
-         and orbit are functions of the key, and the id is assigned at
-         merge time to the occurrence that is first in candidate-key
-         order — so arrival order never shows. *)
-      let resolve_local shard ~ckey ~key ~rep ~orbit =
-        match Hashtbl.find_opt shard_tbl.(shard) key with
-        | Some id -> log_add shard ckey id
-        | None -> (
-          match Hashtbl.find_opt scratch.(shard) key with
-          | Some slot -> log_add shard ckey (-1 - slot)
-          | None ->
-            let slot = slot_cnt.(shard) in
-            slot_cnt.(shard) <- slot + 1;
-            Hashtbl.add scratch.(shard) key slot;
-            slot_keys_rev.(shard) := key :: !(slot_keys_rev.(shard));
-            slot_reps_rev.(shard) := rep :: !(slot_reps_rev.(shard));
-            slot_orbs_rev.(shard) := orbit :: !(slot_orbs_rev.(shard));
-            log_add shard ckey (-1 - slot))
+      let rec intern_cands = function
+        | [] -> []
+        | c :: rest ->
+          let dst = intern c.c_rep c.c_key c.c_orbit in
+          if dst < 0 then intern_cands rest
+          else { dst; label = c.c_label } :: intern_cands rest
       in
-      (* Pop every producer's ring into [shard]'s resolution structures.
-         Single-consumer discipline: only the shard's current lease
-         holder calls this. A slot's own ring for a shard it leases can
-         only hold batches it pushed before acquiring the lease
-         mid-attempt, so popping it is same-thread and safe. *)
-      let drain_shard shard =
-        let got = ref false in
-        for p = 0 to d - 1 do
-          let continue_ = ref true in
-          while !continue_ do
-            match Parallel.Spsc.try_pop rings.(p).(shard) with
-            | Some batch ->
-              got := true;
-              Array.iter
-                (fun h ->
-                  resolve_local shard ~ckey:h.h_ckey ~key:h.h_key ~rep:h.h_rep
-                    ~orbit:h.h_orbit)
-                batch;
-              ignore (Atomic.fetch_and_add pending (-Array.length batch))
-            | None -> continue_ := false
-          done
-        done;
-        !got
-      in
-      let drain_leased leased =
-        List.fold_left
-          (fun acc s ->
-            let got = drain_shard s in
-            got || acc)
-          false !leased
-      in
-      let rec flush_ring ~abort slot ~leased o =
-        let len = out_len.(slot).(o) in
-        if len > 0 then
-          if
-            Parallel.Spsc.try_push rings.(slot).(o)
-              (Array.sub out_buf.(slot).(o) 0 len)
-          then begin
-            out_len.(slot).(o) <- 0;
-            handoffs_ctr.(slot) <- handoffs_ctr.(slot) + 1
-          end
-          else if abort () then
-            (* the consumer may be dead; the generation is aborting *)
-            out_len.(slot).(o) <- 0
-          else begin
-            (* full ring: draining our own inboxes is the one productive,
-               deadlock-free thing to do while the owner catches up *)
-            ignore (drain_leased leased);
-            Domain.cpu_relax ();
-            flush_ring ~abort slot ~leased o
-          end
-      in
-      (* Every buffered batch, including batches for shards we lease
-         ourselves (buffered before a mid-attempt lease claim): those go
-         through our own ring and come back out in [drain_shard]. *)
-      let flush_all ~abort slot ~leased =
-        for o = 0 to d - 1 do
-          flush_ring ~abort slot ~leased o
-        done
-      in
-      let hand_off ~abort slot ~leased o h =
-        if out_len.(slot).(o) = handoff_batch then flush_ring ~abort slot ~leased o;
-        out_buf.(slot).(o).(out_len.(slot).(o)) <- h;
-        out_len.(slot).(o) <- out_len.(slot).(o) + 1
-      in
-      let expand_one ~abort slot ~leased i =
-        Resilience.worker_tick ~domain:slot;
-        let succ = successors cfg !frontier.(i) in
-        !gen_labels.(i) <- Array.of_list (List.map fst succ);
-        let cross = ref 0 in
-        List.iteri
-          (fun pos (_, st') ->
-            let rep, key, orbit = canonize_cached ccs.(slot) codec st' in
-            let o = state_owner rep in
-            let ckey = (i * kmax) + pos in
-            if List.mem o !leased then resolve_local o ~ckey ~key ~rep ~orbit
-            else begin
-              incr cross;
-              hand_off ~abort slot ~leased o
-                { h_ckey = ckey; h_key = key; h_rep = rep; h_orbit = orbit }
-            end)
-          succ;
-        (* retire the state token and charge the handed-off candidates in
-           one atomic step, so [pending] can never dip to 0 with work
-           still in flight *)
-        ignore (Atomic.fetch_and_add pending (!cross - 1))
-      in
-      (* Claim a batch of shard [s]'s frontier worklist for [slot]. *)
-      let expand_from ~abort slot ~leased s =
-        let ws = !wl.(s) in
-        let len = Array.length ws in
-        if Atomic.get wl_cursor.(s) >= len then 0
-        else begin
-          let c = Atomic.fetch_and_add wl_cursor.(s) steal_batch in
-          if c >= len then 0
-          else begin
-            let hi = min len (c + steal_batch) in
-            for x = c to hi - 1 do
-              expand_one ~abort slot ~leased ws.(x)
-            done;
-            hi - c
-          end
-        end
-      in
-      let try_steal ~abort slot ~leased =
-        let best = ref (-1) and best_rem = ref 0 in
-        for s = 0 to d - 1 do
-          if not (List.mem s !leased) then begin
-            let rem = Array.length !wl.(s) - Atomic.get wl_cursor.(s) in
-            if rem > !best_rem then begin
-              best := s;
-              best_rem := rem
-            end
-          end
-        done;
-        !best >= 0
+      (* Claim the next unclaimed chunk of [w] for [domain] and map it;
+         [false] when there is none to claim. Workers stay within [2 * d]
+         chunks of domain 0's intern: output that waits longer is
+         promoted by the worker's minor collections and is slower for
+         domain 0 to read. *)
+      let claim_and_map ~domain w =
+        let nc = Array.length w.w_done in
+        let limit =
+          if domain = 0 then nc
+          else min nc (Atomic.get w.w_interning + (2 * d))
+        in
+        Atomic.get w.w_next < limit
         &&
-        let got = expand_from ~abort slot ~leased !best in
-        if got > 0 then steals_ctr.(slot) <- steals_ctr.(slot) + 1;
-        got > 0
+        let c = Atomic.fetch_and_add w.w_next 1 in
+        c < nc
+        && begin
+          Atomic.set w.w_owner.(c) domain;
+          w.w_out.(c) <- map_chunk ~domain w c;
+          Atomic.set w.w_done.(c) true;
+          true
+        end
       in
-      (* Serve the generation as [slot] until its work is drained or
-         [abort] fires: resolve candidates arriving for leased shards,
-         expand leased worklists (stealing from the heaviest other shard
-         when dry), and poll [claim] for orphaned shard leases while
-         there is nothing else to do. [beat] is the supervised crew's
-         heartbeat hook; the unsupervised crew passes no-ops for both. *)
-      let serve_loop ~abort ~claim ~beat slot leased =
-        let idle = ref 0 in
-        let running = ref true in
-        while !running do
-          beat ();
-          if abort () then running := false
-          else begin
-            let did = drain_leased leased in
-            let did =
-              List.fold_left
-                (fun acc s -> expand_from ~abort slot ~leased s > 0 || acc)
-                did !leased
-            in
-            let did =
-              did
-              ||
-              (* leased shards are dry: publish whatever we buffered,
-                 then go help the heaviest shard *)
-              (flush_all ~abort slot ~leased;
-               try_steal ~abort slot ~leased)
-            in
-            let did = claim () || did in
-            if did then idle := 0
-            else if Atomic.get pending = 0 then running := false
-            else begin
-              incr idle;
-              (* oversubscribed hosts need a real yield, not just a
-                 pause, or a descheduled peer can starve behind us *)
-              if !idle land 63 = 0 then Unix.sleepf 0.0001
-              else Domain.cpu_relax ()
-            end
-          end
-        done
-      in
-      let sort_phase me =
-        let arr = Array.of_list !(logs.(me)) in
-        Array.sort (fun (a, _) (c, _) -> compare (a : int) c) arr;
-        sorted_logs.(me) <- arr;
-        slot_keys_arr.(me) <- Array.of_list (List.rev !(slot_keys_rev.(me)));
-        slot_reps_arr.(me) <- Array.of_list (List.rev !(slot_reps_rev.(me)));
-        slot_orbs_arr.(me) <- Array.of_list (List.rev !(slot_orbs_rev.(me)))
-      in
-      (* Worker 0, alone: d-way merge of the sorted logs in candidate-key
-         order — the candidate scan [expand_seq] does, with identical
-         budget semantics — building transitions and fresh states as it
-         goes. *)
-      let merge_and_collect () =
-        let nf = Array.length !frontier in
-        let gl = !gen_labels in
-        let slot_ids = Array.init d (fun o -> Array.make slot_cnt.(o) (-2)) in
-        let idx = Array.make d 0 in
-        let tr = Array.make nf [] in
-        let fresh_rev = ref [] and orb_rev = ref [] in
-        let ncand = ref 0 and dups = ref 0 and discovered = ref 0 in
-        let cur_i = ref (-1) and buf = ref [] in
-        let commit () = if !cur_i >= 0 then tr.(!cur_i) <- List.rev !buf in
-        let more = ref true in
-        while !more do
-          let pick = ref (-1) and pick_ck = ref max_int in
-          for o = 0 to d - 1 do
-            if idx.(o) < Array.length sorted_logs.(o) then begin
-              let ck, _ = sorted_logs.(o).(idx.(o)) in
-              if ck < !pick_ck then begin
-                pick := o;
-                pick_ck := ck
-              end
-            end
-          done;
-          if !pick < 0 then more := false
-          else begin
-            let o = !pick in
-            let ckey, target = sorted_logs.(o).(idx.(o)) in
-            idx.(o) <- idx.(o) + 1;
-            incr ncand;
-            let i = ckey / kmax and pos = ckey mod kmax in
-            if i <> !cur_i then begin
-              commit ();
-              cur_i := i;
-              buf := []
-            end;
-            let dst =
-              if target >= 0 then begin
-                incr dups;
-                target
-              end
-              else begin
-                let s = -1 - target in
-                let sid = slot_ids.(o).(s) in
-                if sid = -2 then
-                  if !n_states < max_states then begin
-                    let id = !n_states in
-                    incr n_states;
-                    incr discovered;
-                    slot_ids.(o).(s) <- id;
-                    Hashtbl.add shard_tbl.(o) slot_keys_arr.(o).(s) id;
-                    orbit_sum := !orbit_sum + slot_orbs_arr.(o).(s);
-                    fresh_rev := slot_reps_arr.(o).(s) :: !fresh_rev;
-                    orb_rev := slot_orbs_arr.(o).(s) :: !orb_rev;
-                    id
-                  end
-                  else begin
-                    complete := false;
-                    set_stop Checker_stats.Budget;
-                    slot_ids.(o).(s) <- -1;
-                    -1
-                  end
-                else if sid >= 0 then begin
-                  incr dups;
-                  sid
-                end
-                else begin
-                  (* duplicate of a budget-dropped candidate *)
-                  complete := false;
-                  set_stop Checker_stats.Budget;
-                  -1
-                end
-              end
-            in
-            if dst >= 0 then buf := { dst; label = gl.(i).(pos) } :: !buf
-          end
-        done;
-        commit ();
-        finish_gen ~tr
-          ~fresh:(Array.of_list (List.rev !fresh_rev))
-          ~orbs:(Array.of_list (List.rev !orb_rev))
-          ~ncand:!ncand ~dups:!dups ~discovered:!discovered
-      in
-      let body me =
-        let running = ref true in
-        while !running do
-          Parallel.Barrier.wait b;
-          (* generation inputs published; snapshot the mode into locals
-             NOW, then hold a decision barrier. Without it, worker 0 of a
-             sequential-mode generation would run the whole generation —
-             rewriting [stop]/[seq_gen] at its end — racing the other
-             workers' branch reads, so two workers could pick different
-             branches (different barrier counts) and wedge the crew. The
-             second barrier guarantees every worker has read the decision
-             before worker 0 may mutate it again. *)
-          let stop_now = !stop and seq_now = !seq_gen in
-          Parallel.Barrier.wait b;
-          (* decision taken by all workers *)
-          if stop_now then running := false
-          else if seq_now then begin
-            if me = 0 then expand_seq_guarded ()
-            (* other workers loop straight to the next start barrier *)
-          end
-          else begin
-            guard (fun () ->
-                serve_loop
-                  ~abort:(fun () -> !failure <> None)
-                  ~claim:(fun () -> false)
-                  ~beat:(fun () -> ())
-                  me (ref [ me ]));
-            Parallel.Barrier.wait b;
-            (* all logs complete (or the generation is aborting) *)
-            guard (fun () -> sort_phase me);
-            Parallel.Barrier.wait b;
-            if me = 0 then begin
-              (* never merge a partial generation: a dead worker's
-                 claimed states are missing from the logs *)
-              if !failure = None then guard merge_and_collect;
-              if !failure <> None then stop := true
-            end
-          end
-        done
-      in
-      (* -------- supervised crew (self-healing choreography) -----------
-         Coordination runs through {e epochs}: work units claimed by
-         compare-and-set from a shared table published as one atomic
-         record.
-
-         A wide generation is one attempt whose unit table is the shard
-         LEASE table — claiming unit [u] leases shard [u]'s resolution
-         structures until the attempt ends, and idle slots keep claiming
-         orphaned leases, so a shrunken crew still serves every shard. A
-         death mid-attempt aborts it: the dead slot's worklist claims and
-         buffered handoffs are unrecoverable, so survivors park, the
-         supervisor drains the rings, re-preps the generation and replays
-         it from its (unmutated) inputs, and the dead domain respawns with
-         bounded, jittered backoff. Durable state — shard tables, ids,
-         chunk lists — is only touched by [merge_and_collect] after a
-         clean attempt, which is what makes the replay safe and the merged
-         result bit-identical. The sort phase that follows is idempotent,
-         so it runs as an ordinary epoch: a dead slot's units are simply
-         requeued for the survivors.
-
-         A domain that is still alive but stops heartbeating while holding
-         work can NOT be requeued safely (it may yet mutate its shard), so
-         after an escalating patience budget the whole attempt is
-         abandoned with {!Resilience.Stalled}; {!with_recovery} then
-         resumes from the last durable snapshot. *)
-      let supervised_drive () =
-        let cur =
-          Atomic.make { ep_id = 0; ep_units = [||]; ep_fn = (fun _ _ -> ()) }
-        in
-        let quit = Atomic.make false in
-        let alive = Array.init d (fun _ -> Atomic.make false) in
-        let hb = Array.init d (fun _ -> Atomic.make 0) in
-        let abandoned = Array.make d false in
-        let doms : unit Domain.t option array = Array.make d None in
-        let restart_count = Array.make d 0 in
-        let respawn_at = Array.make d infinity in
-        let epoch_no = ref 0 in
-        (* jitter desynchronizes respawns; the values never influence the
-           explored graph, so a fixed seed keeps campaigns replayable *)
-        let jrng = Rng.create 0x7E57 in
-        let max_domain_restarts = 3 in
-        let patience_base = 0.1 in
-        let max_patience_levels = 3 in
-        let work ep slot =
-          let us = ep.ep_units in
-          for u = 0 to Array.length us - 1 do
-            if
-              Atomic.get us.(u) = 0
-              && Atomic.compare_and_set us.(u) 0 (slot + 1)
-            then begin
-              Atomic.incr hb.(slot);
-              Resilience.worker_tick ~domain:slot;
-              ep.ep_fn slot u;
-              Atomic.set us.(u) (-1)
-            end
-          done
-        in
-        let worker slot () =
-          (try
-             let idle = ref 0 in
-             while not (Atomic.get quit) do
-               let ep = Atomic.get cur in
-               if Array.length ep.ep_units > 0 then work ep slot;
+      let current : wide option Atomic.t = Atomic.make None in
+      let quit = Atomic.make false in
+      let alive = Array.init d (fun _ -> Atomic.make false) in
+      let doms : unit Domain.t option array = Array.make d None in
+      let respawns = Array.make d 0 in
+      (* A worker maps chunks until told to quit. Any exception ends it;
+         domain 0 then maps its chunk again, so a deterministic failure
+         resurfaces there. Idle workers back off to a short sleep: tests
+         run more domains than the host has cores. *)
+      let worker w () =
+        (try
+           let idle = ref 0 in
+           while not (Atomic.get quit) do
+             let worked =
+               match Atomic.get current with
+               | Some wd -> claim_and_map ~domain:w wd
+               | None -> false
+             in
+             if worked then idle := 0
+             else begin
                incr idle;
-               (* heartbeat + fault poll while idle, so a kill aimed at a
-                  domain between epochs still fires *)
-               if !idle land 1023 = 0 then begin
-                 Atomic.incr hb.(slot);
-                 Resilience.worker_tick ~domain:slot
-               end;
-               Domain.cpu_relax ()
-             done
-           with _ -> ());
-          Atomic.set alive.(slot) false
-        in
-        let spawn slot =
-          (match doms.(slot) with
-          | Some dh -> Domain.join dh (* already exited: reap promptly *)
-          | None -> ());
-          Atomic.set alive.(slot) true;
-          doms.(slot) <- Some (Domain.spawn (worker slot))
-        in
-        let shutdown () =
-          Atomic.set quit true;
-          Array.iteri
-            (fun w dh ->
-              match dh with
-              | Some dh when not abandoned.(w) ->
-                Domain.join dh;
-                doms.(w) <- None
-              | _ ->
-                (* an abandoned (wedged) domain is leaked on purpose:
-                   joining it would wedge the supervisor too; if it ever
-                   wakes it sees [quit] and exits on its own *)
-                ())
-            doms
-        in
-        (* One supervision pass over the crew, shared by every kind of
-           epoch. [us] is the unit (or lease) table — a cell at [w + 1]
-           means slot [w] holds work. Death is reported through
-           [on_death] (the sort epoch requeues the dead slot's units; a
-           generation attempt aborts) and the domain respawns
-           under bounded, jittered backoff; a live-but-silent holder gets
-           the escalating patience treatment and finally abandonment. *)
-        let monitor ~us ~last_hb ~t_mark ~level ~on_death =
-          let t = Checker_stats.now () in
-          for w = 1 to d - 1 do
-            if doms.(w) <> None && not abandoned.(w) then
-              if not (Atomic.get alive.(w)) then begin
-                on_death w;
-                if respawn_at.(w) = infinity then begin
-                  if restart_count.(w) < max_domain_restarts then begin
-                    let backoff =
-                      0.001
-                      *. float_of_int (1 lsl restart_count.(w))
-                      *. (1. +. Rng.float jrng)
-                    in
-                    restart_count.(w) <- restart_count.(w) + 1;
-                    incr restarts_total;
-                    respawn_at.(w) <- t +. backoff
-                  end
-                  else begin
-                    (* restart budget exhausted: reap the corpse and
-                       carry on with a smaller crew *)
-                    (match doms.(w) with
-                    | Some dh -> Domain.join dh
-                    | None -> ());
-                    doms.(w) <- None
-                  end
-                end
-                else if t >= respawn_at.(w) then begin
-                  respawn_at.(w) <- infinity;
-                  spawn w;
-                  (* a fresh worker starts with a fresh stall clock *)
-                  last_hb.(w) <- Atomic.get hb.(w);
-                  t_mark.(w) <- t;
-                  level.(w) <- 0
-                end
-              end
-              else begin
-                let beat = Atomic.get hb.(w) in
-                if beat <> last_hb.(w) then begin
-                  last_hb.(w) <- beat;
-                  t_mark.(w) <- t;
-                  level.(w) <- 0
-                end
-                else if Array.exists (fun u -> Atomic.get u = w + 1) us
-                then begin
-                  let threshold =
-                    patience_base *. float_of_int (1 lsl level.(w))
-                  in
-                  if t -. t_mark.(w) > threshold then
-                    if level.(w) < max_patience_levels then begin
-                      level.(w) <- level.(w) + 1;
-                      t_mark.(w) <- t
-                    end
-                    else begin
-                      abandoned.(w) <- true;
-                      raise
-                        (Resilience.Stalled
-                           {
-                             domain = w;
-                             waited_s =
-                               patience_base
-                               *. float_of_int
-                                    ((1 lsl (max_patience_levels + 1)) - 1);
-                           })
-                    end
-                end
-              end
-          done
-        in
-        (* An epoch of idempotent units (the sort phase): a dead slot's
-           claimed units go back to the pool for the survivors. *)
-        let run_epoch ~n_units fn =
-          incr epoch_no;
-          let ep =
-            {
-              ep_id = !epoch_no;
-              ep_units = Array.init n_units (fun _ -> Atomic.make 0);
-              ep_fn = fn;
-            }
-          in
-          Atomic.set cur ep;
-          let us = ep.ep_units in
-          let all_done () = Array.for_all (fun u -> Atomic.get u = -1) us in
-          let last_hb = Array.map Atomic.get hb in
-          let t_mark = Array.make d (Checker_stats.now ()) in
-          let level = Array.make d 0 in
-          let spins = ref 0 in
-          (* the supervisor is also slot 0 of the crew *)
-          work ep 0;
-          while not (all_done ()) do
-            (* requeued units are claimable again: take what is left *)
-            work ep 0;
-            if not (all_done ()) then begin
-              incr spins;
-              if !spins land 255 = 0 then Unix.sleepf 0.0002
-              else Domain.cpu_relax ();
-              monitor ~us ~last_hb ~t_mark ~level ~on_death:(fun w ->
-                  (* dead: its claimed units go back to the pool *)
-                  Array.iter
-                    (fun u -> ignore (Atomic.compare_and_set u (w + 1) 0))
-                    us)
-            end
-          done
-        in
-        (* ---- one supervised generation ---------------------------------
-           The epoch's unit table doubles as the shard lease table:
-           claiming unit [u] (by the very CAS that claims epoch work)
-           leases shard [u] to the claiming slot until the attempt ends.
-           A clean attempt drains [pending] to zero exactly like the
-           unsupervised crew; a death mid-attempt aborts and replays the
-           attempt from its unmutated inputs (see the section comment). *)
-        let run_sharded_gen () =
-          let attempts = ref 0 in
-          let again = ref true in
-          while !again do
-            again := false;
-            incr attempts;
-            let failed = Atomic.make false in
-            let death = ref None in
-            incr epoch_no;
-            let units = Array.init d (fun _ -> Atomic.make 0) in
-            let claim_for slot leased () =
-              let got = ref false in
-              for u = 0 to d - 1 do
-                if
-                  Atomic.get units.(u) = 0
-                  && Atomic.compare_and_set units.(u) 0 (slot + 1)
-                then begin
-                  leased := u :: !leased;
-                  got := true
-                end
-              done;
-              !got
-            in
-            let last_hb = Array.map Atomic.get hb in
-            let t_mark = Array.make d (Checker_stats.now ()) in
-            let level = Array.make d 0 in
-            let ticks = ref 0 in
-            (* rate-limited, and woven into the supervisor's [abort]
-               probe below so supervision keeps running even while the
-               supervisor is blocked pushing to a dead consumer's ring *)
-            let monitor0 () =
-              incr ticks;
-              if !ticks land 31 = 0 then
-                monitor ~us:units ~last_hb ~t_mark ~level ~on_death:(fun w ->
-                    if Atomic.compare_and_set failed false true then
-                      death := Some (Resilience.Killed { domain = w }))
-            in
-            let serve slot leased =
-              let abort =
-                if slot = 0 then fun () ->
-                  monitor0 ();
-                  Atomic.get failed
-                else fun () -> Atomic.get failed
-              in
-              serve_loop ~abort ~claim:(claim_for slot leased)
-                ~beat:(fun () -> Atomic.incr hb.(slot))
-                slot leased;
-              (* release every lease we hold — leases claimed mid-attempt
-                 would otherwise read as held forever *)
-              List.iter (fun u -> Atomic.set units.(u) (-1)) !leased
-            in
-            let ep =
-              {
-                ep_id = !epoch_no;
-                ep_units = units;
-                ep_fn = (fun slot u -> serve slot (ref [ u ]));
-              }
-            in
-            Atomic.set cur ep;
-            let leased0 = ref [] in
-            ignore (claim_for 0 leased0 ());
-            serve 0 leased0;
-            (* Fence, then settle. The fence makes any late-waking
-               participant exit before touching shared state — without
-               it a straggler could still be resolving while the
-               supervisor sorts, or while the next generation is being
-               prepped. Settling waits out units held by live slots,
-               absorbs unclaimed ones, and treats units held by the dead
-               as inert (a death AFTER the work drained does not abort:
-               the dying slot's writes are published by its last
-               [pending] decrement and its alive flag). *)
-            Atomic.set failed true;
-            let settled = ref false in
-            while not !settled do
-              settled := true;
-              Array.iter
-                (fun u ->
-                  match Atomic.get u with
-                  | -1 -> ()
-                  | 0 ->
-                    if not (Atomic.compare_and_set u 0 (-1)) then
-                      settled := false
-                  | v ->
-                    let w = v - 1 in
-                    if w > 0 && Atomic.get alive.(w) && not abandoned.(w)
-                    then settled := false)
-                units;
-              if not !settled then begin
-                Domain.cpu_relax ();
-                monitor0 ()
-              end
-            done;
-            match !death with
-            | Some e ->
-              (* Replay the attempt. Each retry needs a fresh death and
-                 deaths are bounded by the restart budgets, so this
-                 terminates under the injected model; the cap is a
-                 backstop against a crash loop outside it. *)
-              if !attempts > 1 + (d * (max_domain_restarts + 1)) then
-                raise e;
-              Array.iter
-                (Array.iter (fun r ->
-                     while Parallel.Spsc.try_pop r <> None do () done))
-                rings;
-              Array.iter (fun row -> Array.fill row 0 d 0) out_len;
-              prep_parallel_gen !frontier;
-              again := true
-            | None -> ()
-          done;
-          (* logs complete. The sort is idempotent, so it runs as an
-             ordinary requeue-on-death epoch; the merge replays the
-             sequential id scan on this thread, as always. *)
-          run_epoch ~n_units:d (fun _ s -> sort_phase s);
-          merge_and_collect ()
-        in
-        (* warm-up, as in the unsupervised crew; exceptions (a kill aimed
-           at domain 0, an injected allocation failure) propagate to the
-           outer guard *)
-        while (not !stop) && !seq_gen do
-          expand_seq ()
-        done;
-        if not !stop then begin
-          if !cutover = None then cutover := Some !depth;
-          for w = 1 to d - 1 do
-            spawn w
-          done;
-          Fun.protect ~finally:shutdown (fun () ->
-              while not !stop do
-                if !seq_gen then expand_seq () else run_sharded_gen ()
-              done)
-        end
+               if !idle < 256 then Domain.cpu_relax () else Unix.sleepf 1e-4
+             end
+           done
+         with _ -> ());
+        Atomic.set alive.(w) false
       in
-      (* A snapshot of a finished exploration resumes to an empty
-         frontier: nothing to do, return the restored graph as-is. *)
-      if Array.length !frontier = 0 then stop := true;
-      if d = 1 then
-        while not !stop do
-          expand_seq_guarded ()
+      let spawn w =
+        ccs.(w) <- fresh_canon_cache ();
+        Atomic.set alive.(w) true;
+        doms.(w) <- Some (Domain.spawn (worker w))
+      in
+      let respawn_dead () =
+        for w = 1 to d - 1 do
+          match doms.(w) with
+          | Some dh when not (Atomic.get alive.(w)) ->
+            Domain.join dh;
+            doms.(w) <- None;
+            if respawns.(w) < max_respawns then begin
+              respawns.(w) <- respawns.(w) + 1;
+              incr restarts_total;
+              spawn w
+            end
+          | _ -> ()
         done
-      else if supervise then guard supervised_drive
-      else begin
-        (* warm-up: no domains, no barriers, until the frontier is wide
-           enough — or exploration finishes first *)
-        while (not !stop) && !seq_gen do
-          expand_seq_guarded ()
-        done;
-        if not !stop then begin
-          (* a resumed run keeps the original run's recorded cutover *)
-          if !cutover = None then cutover := Some !depth;
-          let workers =
-            Array.init (d - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
-          in
-          body 0;
-          Array.iter Domain.join workers
-        end
-      end;
+      in
+      let shutdown () =
+        Atomic.set quit true;
+        Array.iteri
+          (fun w dh ->
+            Option.iter Domain.join dh;
+            doms.(w) <- None)
+          doms
+      in
+      (* Domain 0's wait for chunk [c]: map unclaimed chunks meanwhile;
+         map [c] itself once its owner has died or held it past the
+         patience. *)
+      let await w c =
+        let since = ref 0. and spins = ref 0 in
+        let rec go () =
+          if Atomic.get w.w_done.(c) then begin
+            let out = w.w_out.(c) in
+            w.w_out.(c) <- [||];
+            out
+          end
+          else if claim_and_map ~domain:0 w then go ()
+          else begin
+            if !since = 0. then since := Checker_stats.now ();
+            incr spins;
+            let o = Atomic.get w.w_owner.(c) in
+            if
+              (o > 0 && not (Atomic.get alive.(o)))
+              || !spins land 255 = 0
+                 && Checker_stats.now () -. !since > stall_patience_s
+            then map_chunk ~domain:0 w c
+            else begin
+              Domain.cpu_relax ();
+              go ()
+            end
+          end
+        in
+        go ()
+      in
+      let expand_wide () =
+        let fr = !frontier in
+        let nf = Array.length fr in
+        let chunk = max 1 (min 64 (nf / (4 * d))) in
+        let nc = (nf + chunk - 1) / chunk in
+        let w =
+          {
+            w_frontier = fr;
+            w_chunk = chunk;
+            w_next = Atomic.make 0;
+            w_interning = Atomic.make 0;
+            w_owner = Array.init nc (fun _ -> Atomic.make (-1));
+            w_done = Array.init nc (fun _ -> Atomic.make false);
+            w_out = Array.make nc [||];
+          }
+        in
+        Atomic.set current (Some w);
+        let out = ref [||] in
+        run_gen (fun i ->
+            if i mod chunk = 0 then begin
+              Atomic.set w.w_interning (i / chunk);
+              out := await w (i / chunk)
+            end;
+            intern_cands !out.(i mod chunk));
+        Atomic.set current None
+      in
+      let crew = ref false in
+      let drive () =
+        if Array.length !frontier = 0 then stop := true;
+        Fun.protect ~finally:shutdown (fun () ->
+            while not !stop do
+              if d = 1 || Array.length !frontier < par_threshold then
+                expand_seq ()
+              else begin
+                if not !crew then begin
+                  crew := true;
+                  (* a resumed run keeps the original run's cutover *)
+                  if !cutover = None then cutover := Some !depth;
+                  for w = 1 to d - 1 do
+                    spawn w
+                  done
+                end
+                else respawn_dead ();
+                expand_wide ()
+              end
+            done)
+      in
       (* Build the result from a boundary image. When the boundary has
          unexpanded frontier states (stopped by a signal, or degraded out
          of an [Out_of_memory]), their transition lists are empty in the
@@ -1577,60 +921,58 @@ module Make (P : Protocol.PROTOCOL) = struct
         let n_transitions =
           Array.fold_left (fun acc ts -> acc + List.length ts) 0 succs
         in
+        (* states per structural-hash class mod [d]: a pure function of
+           the graph, so it survives checkpoint/resume bit for bit *)
+        let shard_load = Array.make d 0 in
+        if d = 1 then shard_load.(0) <- bd.b_n_states
+        else
+          Array.iter
+            (fun st ->
+              let s = Hashtbl.hash st mod d in
+              shard_load.(s) <- shard_load.(s) + 1)
+            states;
         orbit_sum := bd.b_orbit_sum;
         cutover := bd.b_cutover;
         let g = { cfg; states; orbits; succs; complete } in
         let stats =
           stats_base ~n_states:bd.b_n_states ~n_transitions
             ~max_depth:bd.b_depth ~max_frontier:bd.b_max_frontier
-            ~candidates:bd.b_cand ~dedup_hits:bd.b_dups
-            ~shard_load:(Array.map Hashtbl.length shard_tbl)
-            ~complete ~depths:(List.rev bd.b_depths_rev)
+            ~candidates:bd.b_cand ~dedup_hits:bd.b_dups ~shard_load ~complete
+            ~depths:(List.rev bd.b_depths_rev)
         in
         (g, stats)
       in
-      match !failure with
-      | Some ((Out_of_memory | Resilience.Stalled _) as e)
-        when snapshot_to <> None ->
-        (* last-ditch degradation: flush the newest exact boundary and
-           hand back a truncated result instead of dying with nothing *)
-        set_stop
-          (match e with
-          | Out_of_memory -> Checker_stats.Oom
-          | _ -> Checker_stats.Fault);
-        (match snapshot_to with
-        | Some path -> (
-          try write_boundary path !last_boundary with Snapshot.Error _ -> ())
-        | None -> ());
-        result_of !last_boundary ~complete:false
-      | Some e -> raise e
-      | None ->
+      match drive () with
+      | () ->
         (* a truncated (budget or signal) run leaves its newest exact
            boundary on disk so it can be resumed later *)
         (match snapshot_to with
         | Some path when not !complete -> write_boundary path !last_boundary
         | _ -> ());
         result_of (capture_boundary ()) ~complete:!complete
+      | exception Out_of_memory when snapshot_to <> None ->
+        (* last-ditch degradation: flush the newest exact boundary and
+           hand back a truncated result instead of dying with nothing *)
+        set_stop Checker_stats.Oom;
+        (match snapshot_to with
+        | Some path -> (
+          try write_boundary path !last_boundary with Snapshot.Error _ -> ())
+        | None -> ());
+        result_of !last_boundary ~complete:false
     end
-
-  let default_handoff_batch = 64
-  let default_steal_batch = 32
 
   let explore_with_stats ?(max_states = 2_000_000) ?(reduction = Full)
       ?snapshot_every ?snapshot_to ?resume_from ?mem_soft_limit_mb ?deadline_s
       ?(salvage = false) cfg =
     explore_impl ~max_states ~domains:1 ~par_threshold:0 ~reduction
-      ~handoff_batch:default_handoff_batch ~steal_batch:default_steal_batch
       ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb ~deadline_s
-      ~salvage ~supervise:false cfg
+      ~salvage cfg
 
   let default_par_threshold ~domains = 1024 * (domains - 1)
 
   let explore_par ?(max_states = 2_000_000) ?domains ?par_threshold
-      ?(reduction = Full) ?(handoff_batch = default_handoff_batch)
-      ?(steal_batch = default_steal_batch) ?snapshot_every ?snapshot_to
-      ?resume_from ?mem_soft_limit_mb ?deadline_s ?(salvage = false) ?supervise
-      cfg =
+      ?(reduction = Full) ?snapshot_every ?snapshot_to ?resume_from
+      ?mem_soft_limit_mb ?deadline_s ?(salvage = false) cfg =
     let domains =
       match domains with
       | Some d -> max 1 d (* explicit override, even past the host count *)
@@ -1641,17 +983,9 @@ module Make (P : Protocol.PROTOCOL) = struct
       | Some t -> max 0 t
       | None -> default_par_threshold ~domains
     in
-    let supervise =
-      match supervise with
-      | Some s -> s
-      | None ->
-        (* domain faults armed means the caller wants them absorbed:
-           default the self-healing crew on so the campaign exercises it *)
-        Resilience.has_domain_faults ()
-    in
     explore_impl ~max_states ~domains ~par_threshold ~reduction
-      ~handoff_batch ~steal_batch ~snapshot_every ~snapshot_to ~resume_from
-      ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise cfg
+      ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb ~deadline_s
+      ~salvage cfg
 
   let explore ?(max_states = 2_000_000) ?(reduction = Full) ?snapshot_every
       ?snapshot_to ?resume_from ?deadline_s ?(salvage = false) cfg =
@@ -1663,10 +997,9 @@ module Make (P : Protocol.PROTOCOL) = struct
          suite cross-checks this on every in-tree protocol). *)
       fst
         (explore_impl ~max_states ~domains:1 ~par_threshold:0 ~reduction
-           ~handoff_batch:default_handoff_batch
-           ~steal_batch:default_steal_batch ~snapshot_every ~snapshot_to
-           ~resume_from ~mem_soft_limit_mb:None ~deadline_s ~salvage
-           ~supervise:false cfg)
+           ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb:None
+           ~deadline_s ~salvage cfg)
+
 
   (* ---------------------------------------------------------------- *)
   (* external-memory exploration (disk-backed visited set)             *)
@@ -1851,8 +1184,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         sig_pruned = sig_pruned ();
         canon_hits = cc.hits;
         cutover = None;
-        steals = 0;
-        handoffs = 0;
         spilled_runs = Disk_visited.n_runs dv;
         disk_probes = Disk_visited.n_probes dv;
         depths = List.rev !depths_rev;
@@ -2136,7 +1467,7 @@ module Make (P : Protocol.PROTOCOL) = struct
 
   let with_recovery ?(max_retries = 3) ?resume_from ~snapshot_to run =
     let transient = function
-      | Out_of_memory | Resilience.Killed _ | Resilience.Stalled _ -> true
+      | Out_of_memory | Resilience.Killed _ -> true
       (* injected disk faults fire at most once, so retrying through an
          EIO/ENOSPC/failed-fsync converges just like a kill does *)
       | Resilience.Io_fault _ -> true
@@ -2152,15 +1483,14 @@ module Make (P : Protocol.PROTOCOL) = struct
       | exception _ -> None
     in
     (* [attempt] is ONE counter over every retry, whatever mix of fault
-       kinds forced them — an alternating kill/stall/EIO plan spends the
+       kinds forced them — an alternating kill/EIO/OOM plan spends the
        same bounded budget a single repeated fault would. The count is
        stamped into the returned statistics as [recoveries]. *)
     let rec go attempt resume =
       match run ~resume_from:resume ~snapshot_to with
       | (_, stats)
         when (not stats.Checker_stats.complete)
-             && (stats.Checker_stats.stop = Checker_stats.Oom
-                || stats.Checker_stats.stop = Checker_stats.Fault)
+             && stats.Checker_stats.stop = Checker_stats.Oom
              && attempt < max_retries ->
         (* the explorer degraded out of an infrastructure failure after
            flushing its newest boundary: pick it up and push on *)

@@ -148,67 +148,48 @@ module Make (P : Protocol.PROTOCOL) : sig
     ?domains:int ->
     ?par_threshold:int ->
     ?reduction:reduction ->
-    ?handoff_batch:int ->
-    ?steal_batch:int ->
     ?snapshot_every:int ->
     ?snapshot_to:string ->
     ?resume_from:string ->
     ?mem_soft_limit_mb:int ->
     ?deadline_s:float ->
     ?salvage:bool ->
-    ?supervise:bool ->
     config ->
     graph * Checker_stats.t
-  (** Frontier-parallel breadth-first exploration over [domains] worker
-      domains (default [Domain.recommended_domain_count ()]; an explicit
+  (** Frontier-parallel breadth-first exploration over [domains] domains
+      (default [Domain.recommended_domain_count ()]; an explicit
       [~domains] is honored as given, even beyond the host's recommended
-      count — benchmarks that oversubscribe must say so). The
-      state-interning table is sharded by structural-state hash with one
-      shard owned per domain. In a wide generation each domain expands
-      its own shard's frontier worklist, resolves arriving candidates
-      immediately and hands cross-shard successors over batched SPSC
-      mailboxes; idle domains steal frontier batches from the heaviest
-      shard. Two barriers close the generation (logs complete, logs
-      sorted), then one merge in candidate order replays the sequential
-      id assignment exactly (DESIGN.md §13), so the resulting graph —
-      state numbering, transition lists, [complete] flag — is
-      bit-identical to {!explore} for every input, including when
-      [max_states] truncates the search. [?handoff_batch] (default 64)
-      sizes the cross-shard mailbox batches; [?steal_batch] (default 32)
-      sizes the frontier batches a domain claims from a worklist. Both
-      only shape scheduling, never the result.
+      count — benchmarks that oversubscribe must say so). Each wide
+      generation is cut into chunks of the frontier: every domain claims
+      chunks and maps their states to their successors' labels,
+      canonical representatives, keys and orbits, work that touches no
+      shared table, while domain 0 interns the mapped chunks in frontier
+      order through the one intern table the sequential generations use
+      (DESIGN.md §13). The resulting graph — state numbering, transition
+      lists, [complete] flag — is therefore bit-identical to {!explore}
+      for every input, including when [max_states] truncates the search.
 
       Generations whose frontier is narrower than [par_threshold]
-      (default [1024 * (domains - 1)]) run sequentially on worker 0: no
+      (default [1024 * (domains - 1)]) run sequentially on domain 0: no
       domain is spawned until the frontier first reaches the threshold
       (that depth is reported as [cutover] in the stats; [None] means the
-      whole run stayed sequential) and a draining frontier drops back to
-      one barrier per generation. [domains = 1] always runs inline
+      whole run stayed sequential). [domains = 1] always runs inline
       without spawning.
+
+      Supervision is built in (DESIGN.md §12): a chunk is pure, so
+      domain 0 maps again any chunk whose worker died or has held it past
+      a fixed patience, and respawns a dead worker (a bounded number of
+      times, counted in {!Checker_stats.t.restarts}) at the next wide
+      generation. A worker's exception ends only that worker; a
+      deterministic one (a protocol bug) resurfaces when domain 0 maps the
+      chunk again, and is raised as {!explore} would raise it. A kill
+      aimed at domain 0 propagates to the caller (see {!with_recovery}).
 
       Checkpoint options as in {!explore_with_stats}. A snapshot taken by
       any explorer can be resumed by any other ([domains] is not part of
       the fingerprint); the graph is bit-identical either way, and the
       statistics are bit-identical (modulo wall-clock) when the
-      interrupted and resuming runs use the same explorer settings.
-
-      [~supervise:true] (default: on exactly when a {!Resilience} plan
-      with domain faults is armed) runs the wide generations in the
-      self-healing supervised choreography (DESIGN.md §12, §14): workers
-      claim work by compare-and-set from epoch tables and report
-      heartbeats; a worker domain that dies is respawned with bounded,
-      jittered backoff (the count lands in {!Checker_stats.t.restarts}).
-      The epoch table doubles as a shard {e lease} table — a dead
-      owner's shard is reassigned to a survivor by the same CAS claim,
-      the in-flight generation attempt is replayed from its unmutated
-      inputs (rings drained, worklists re-prepped), and a crew that has
-      permanently shrunk still serves every shard. A worker that wedges
-      past an escalating patience budget aborts the attempt with
-      {!Resilience.Stalled} — degraded into a flushed snapshot and a
-      {!Checker_stats.Fault}-truncated result when [~snapshot_to] is
-      set, so {!with_recovery} can resume it. Supervision produces the
-      same bit-identical graph and statistics as the unsupervised
-      crew. *)
+      interrupted and resuming runs use the same explorer settings. *)
 
   val external_fingerprint : reduction:reduction -> config -> Digest.t * string
 (** Fingerprint of the external-memory explorer's checkpoints and run
@@ -287,14 +268,13 @@ module Make (P : Protocol.PROTOCOL) : sig
       explorer — in-RAM ([graph * stats]) or external ([((), stats)]) —
       invoked with the resume point to use (initially [?resume_from]); it
       must checkpoint to [snapshot_to]. When it raises a transient
-      exception ({!Resilience.Killed}, {!Resilience.Stalled},
-      {!Resilience.Io_fault}, [Out_of_memory], or a corrupt-snapshot
-      {!Snapshot.Error}) — or returns statistics truncated by
-      {!Checker_stats.Oom}/{!Checker_stats.Fault} — the driver probes
+      exception ({!Resilience.Killed}, {!Resilience.Io_fault},
+      [Out_of_memory], or a corrupt-snapshot {!Snapshot.Error}) — or
+      returns statistics truncated by {!Checker_stats.Oom} — it probes
       [snapshot_to] with {!Snapshot.read_salvaged} and re-runs from the
       newest loadable boundary (from scratch if none). [max_retries]
       (default 3) bounds the retries with ONE total counter, whatever
-      mix of fault kinds forced them — an alternating kill/stall/EIO
+      mix of fault kinds forced them — an alternating kill/EIO/OOM
       storm spends the same budget a single repeated fault would. The
       retry count is stamped into the returned statistics as
       {!Checker_stats.t.recoveries}. Because resumption is exact, the

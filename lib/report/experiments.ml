@@ -1478,7 +1478,8 @@ let e18_parallel_checker speed =
     Table.make ~id:"E18"
       ~title:
         "Frontier-parallel model checker vs the sequential oracle \
-         (generation-synchronized BFS, hash-sharded interning)"
+         (generation-synchronized BFS, chunks mapped on every domain and \
+         interned in order on domain 0)"
       ~header:
         [
           "instance";
@@ -2003,7 +2004,7 @@ let e21_snapshot_overhead speed =
 (* Each row arms a deterministic fault plan against one cell of the
    (explorer x storage) matrix and reports what the stack did about it:
    every fault must either be absorbed to a bit-identical
-   result (supervision restarts, recovery retries) or surface as an
+   result (re-mapped chunks, respawns, recovery retries) or surface as an
    honestly tagged degradation — never a hang, a crash, or a silently
    wrong count. `make chaos-soak-smoke` drives the same matrix through
    the coordctl surface with randomized plans. *)
@@ -2028,8 +2029,8 @@ module ChaosRow (P : Protocol.PROTOCOL) = struct
   (* the parallel explorer under kills and stalls aimed at its workers;
      the oracle is the same explorer fault-free (bit-identical to the
      sequential explorer's graph by the parity contract, but carrying
-     the parallel run's domain-count and scheduling stats) *)
-  let supervised_row ~label ~domains (cfg : E.config) =
+     the parallel run's domain count) *)
+  let parallel_row ~label ~domains (cfg : E.config) =
     let oracle = E.explore_par ~domains ~par_threshold:0 cfg in
     let plan =
       {
@@ -2044,9 +2045,7 @@ module ChaosRow (P : Protocol.PROTOCOL) = struct
       }
     in
     with_plan plan (fun () ->
-        let g, s =
-          E.explore_par ~domains ~par_threshold:0 ~supervise:true cfg
-        in
+        let g, s = E.explore_par ~domains ~par_threshold:0 cfg in
         [
           label;
           Format.asprintf "%a" Resilience.pp_plan plan;
@@ -2098,9 +2097,16 @@ module ChaosRow (P : Protocol.PROTOCOL) = struct
     let dir = Filename.temp_file "coorde22dv" ".d" in
     Sys.remove dir;
     let snap = Filename.temp_file "coorde22dv" ".snap" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
-    @@ fun () ->
+    let remove_all () =
+      (try Sys.remove snap with Sys_error _ -> ());
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end
+    in
+    Fun.protect ~finally:remove_all @@ fun () ->
     let t =
       E.explore_external ~hot_cap:8 ~disk_quota_bytes:16 ~snapshot_to:snap
         ~dir cfg
@@ -2139,14 +2145,13 @@ let e22_chaos_matrix _speed =
       ~notes:
         [
           "\"fired\" counts plan faults that actually matured during the \
-           cell. Kills aimed at worker domains are absorbed by the \
-           supervision layer. \"restarts\" counts monitor-scheduled \
-           respawns only, and can legitimately read zero even with kills \
-           fired: the supervisor may abort the attempt, reclaim the \
-           orphaned lease and replay with the surviving crew. Faults \
-           that take down the whole attempt (supervisor kill, allocation \
-           failure, I/O error, torn checkpoint) are retried from the \
-           newest salvageable snapshot by with_recovery (recoveries > 0). \
+           cell. A killed or stalled worker's chunk of the frontier is \
+           mapped again by domain 0, and a dead worker is respawned at \
+           the next wide generation (\"restarts\"; zero when the run \
+           ends first). Faults that take down the whole attempt (domain 0 \
+           kill, allocation failure, I/O error, torn checkpoint) are \
+           retried from the newest salvageable snapshot by with_recovery \
+           (recoveries > 0). \
            A disk-visited byte quota is not a fault but a resource limit: \
            the run stops BEFORE the spill that would breach it, tags the \
            stop disk_full, and a quota-free resume completes exactly.";
@@ -2154,7 +2159,7 @@ let e22_chaos_matrix _speed =
            coordctl CLI with seed-randomized plans (CHAOS_SEED=N).";
         ]
       [
-        ChMutex.supervised_row ~label:"sharded + supervise" ~domains:3 cfg;
+        ChMutex.parallel_row ~label:"par, 3 domains" ~domains:3 cfg;
         ChMutex.recovery_row ~label:"seq + with_recovery" cfg;
         ChMutex.quota_row ~label:"disk-visited + quota" cfg;
       ];

@@ -1,7 +1,6 @@
 open Anonmem
 
 exception Killed of { domain : int }
-exception Stalled of { domain : int; waited_s : float }
 exception Io_fault of { op : string }
 
 type fault =
@@ -123,16 +122,6 @@ let fired () =
 
 let pending () =
   match with_state (fun s -> s.left) with Some l -> l | None -> []
-
-let has_domain_faults () =
-  match
-    with_state (fun s ->
-        List.exists
-          (function Kill_domain _ | Stall_domain _ -> true | _ -> false)
-          s.left)
-  with
-  | Some b -> b
-  | None -> false
 
 let has_disk_faults () =
   match

@@ -18,15 +18,8 @@
 
 exception Killed of { domain : int }
 (** Raised out of an injection point to simulate the sudden death of a
-    domain (or, for domain 0, of the whole supervisor/process). Never
-    raised while disarmed. *)
-
-exception Stalled of { domain : int; waited_s : float }
-(** Raised by the {e supervised} explorer (not by this module) when a
-    live-but-frozen domain outlives its escalating patience budget and
-    the attempt is abandoned. Defined here so both the explorer and
-    {!Check.Explore.Make.with_recovery} agree on what counts as a
-    transient infrastructure failure. *)
+    domain (or, for domain 0, of the whole exploration). Never raised
+    while disarmed. *)
 
 exception Io_fault of { op : string }
 (** Raised out of {!io_write}/{!io_sync} to simulate a failed disk
@@ -99,10 +92,6 @@ val fired : unit -> int
 
 val pending : unit -> fault list
 (** Faults of the armed plan that have not fired yet ([] when disarmed). *)
-
-val has_domain_faults : unit -> bool
-(** The armed plan still holds an unfired [Kill_domain]/[Stall_domain] —
-    what the explorer consults to auto-enable supervision. *)
 
 val has_disk_faults : unit -> bool
 (** The armed plan still holds an unfired storage fault

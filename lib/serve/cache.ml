@@ -62,25 +62,39 @@ let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 let collisions t = locked t (fun () -> t.collisions)
 
+(* The cache file is a COORDSNAP envelope (CRC, version, durable write)
+   whose fingerprint names the payload layout. Entries embed
+   [Checker_stats.t], so bump [format] whenever [entry] or
+   [Checker_stats.t] changes: a file of another layout is then refused
+   instead of decoding into shifted fields. *)
+let format = "coordctl verdict cache v2"
+let fingerprint = Digest.string format
+
 let save t ~path =
   locked t (fun () ->
-      let entries =
-        Hashtbl.fold (fun k b acc -> (k, b) :: acc) t.tbl []
-      in
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Marshal.to_channel oc (entries : (string * entry list) list) [];
-      close_out oc;
-      Sys.rename tmp path)
+      let entries = Hashtbl.fold (fun k b acc -> (k, b) :: acc) t.tbl [] in
+      Check.Snapshot.write ~path ~fingerprint ~descr:format
+        (Marshal.to_string (entries : (string * entry list) list) []))
 
 let load ~path =
   let t = create () in
-  (try
-     let ic = open_in_bin path in
-     Fun.protect
-       ~finally:(fun () -> close_in_noerr ic)
-       (fun () ->
-         let entries : (string * entry list) list = Marshal.from_channel ic in
-         List.iter (fun (k, b) -> Hashtbl.replace t.tbl k b) entries)
-   with _ -> ());
+  (if Sys.file_exists path then
+     match
+       let meta, payload = Check.Snapshot.read ~path in
+       Check.Snapshot.check_fingerprint ~path meta ~fingerprint ~descr:format;
+       payload
+     with
+     | payload ->
+       let entries : (string * entry list) list =
+         Marshal.from_string payload 0
+       in
+       List.iter (fun (k, b) -> Hashtbl.replace t.tbl k b) entries
+     | exception Check.Snapshot.Error e ->
+       let reason =
+         match e with
+         | Check.Snapshot.Config_mismatch { snapshot; _ } ->
+           Printf.sprintf "written as %S, this build reads %S" snapshot format
+         | e -> Check.Snapshot.error_message e
+       in
+       Format.eprintf "verdict cache %s discarded: %s@." path reason);
   t

@@ -47,9 +47,14 @@ val misses : t -> int
 val collisions : t -> int
 
 val save : t -> path:string -> unit
-(** Persist entries with [Marshal] (atomically, via a temp file). *)
+(** Persist the entries durably with {!Check.Snapshot.write}: a CRC'd,
+    versioned envelope whose fingerprint names the cache layout. Raises
+    {!Check.Snapshot.Error} on an I/O failure. *)
 
 val load : path:string -> t
-(** Load a cache persisted by {!save}. A missing, unreadable or corrupt
-    file yields an empty cache — persistence is an optimization, never a
-    failure mode. *)
+(** Load a cache persisted by {!save}. A missing file yields an empty
+    cache. So does a file that fails {!Check.Snapshot.read} (damaged,
+    not a snapshot) or carries another cache layout's fingerprint (an
+    older build's file): the file is discarded with one line on stderr
+    naming it and the reason, since persistence is an optimization,
+    never a failure mode. *)

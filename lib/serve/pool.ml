@@ -110,8 +110,6 @@ let pending t =
 let transient_message = function
   | Resilience.Killed { domain } ->
     Printf.sprintf "worker domain %d killed" domain
-  | Resilience.Stalled { domain; waited_s } ->
-    Printf.sprintf "worker domain %d stalled (%.2fs)" domain waited_s
   | Resilience.Io_fault { op } -> Printf.sprintf "i/o fault during %s" op
   | Out_of_memory -> "out of memory"
   | Check.Snapshot.Error e -> Check.Snapshot.error_message e
@@ -130,7 +128,7 @@ let run_one t (j : job) =
         (Runner.run_slice ~cache:t.cache ~quantum:t.quantum ?deadline_left_s
            ~salvage:(j.recoveries > 0) ~snapshot:j.snapshot j.spec j.progress)
     with
-    | (Resilience.Killed _ | Resilience.Stalled _ | Resilience.Io_fault _
+    | (Resilience.Killed _ | Resilience.Io_fault _
       | Out_of_memory
       | Check.Snapshot.Error _) as e ->
       `Transient e

@@ -245,9 +245,7 @@ module MkCheck (P : Protocol.PROTOCOL) = struct
                  request): yield; a later slice resumes bit-identically *)
               Yield
                 (Check_cursor { cs with partial = true; states_done = stt })
-            | Check.Checker_stats.Oom
-            | Check.Checker_stats.Fault
-            | Check.Checker_stats.Disk_full ->
+            | Check.Checker_stats.Oom | Check.Checker_stats.Disk_full ->
               (* degraded stop: resume from the flushed snapshot if one
                  made it to disk, else restart the config *)
               Yield

@@ -377,8 +377,17 @@ let with_plan fault_seed f =
     Resilience.arm (Resilience.plan_of_seed ~domains:1 seed);
     Fun.protect ~finally:Resilience.disarm f
 
+(* A flat temporary directory and every file in it. *)
+let remove_dir dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
 let run ?cache ?(quantum = 50_000) ?state_dir ?(progress = ignore) s =
   let cache = match cache with Some c -> c | None -> Cache.create () in
+  (* the default state dir is ours: remove it, also when the run raises *)
+  let own_dir = state_dir = None in
   let state_dir =
     match state_dir with
     | Some d -> d
@@ -387,6 +396,8 @@ let run ?cache ?(quantum = 50_000) ?state_dir ?(progress = ignore) s =
         (Filename.get_temp_dir_name ())
         (str "coordctl-sweep-%d" (Unix.getpid ()))
   in
+  Fun.protect ~finally:(fun () -> if own_dir then remove_dir state_dir)
+  @@ fun () ->
   let pool = Pool.create ~workers:1 ~quantum ~cache ~state_dir () in
   let cells = expand s in
   let t0 = Check.Checker_stats.now () in

@@ -95,8 +95,9 @@ val run :
   spec ->
   report
 (** Execute every cell (in {!expand} order) on a fresh single-worker
-    pool sharing [cache]. [state_dir] (default under the temp dir, keyed
-    by pid) holds preemption snapshots. *)
+    pool sharing [cache]. [state_dir] holds preemption snapshots; by
+    default it is a directory under the temp dir, keyed by pid, that the
+    run removes when it ends (also when it raises). *)
 
 val exit_code : report -> int
 (** The [coordctl sweep] contract: with any gate configured, 1 iff a

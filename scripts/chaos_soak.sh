@@ -1,15 +1,15 @@
 #!/bin/sh
-# Chaos soak: sweep the (supervision x disk-visited x fault plan) matrix
-# through the coordctl surface and require, for every cell, either
+# Chaos soak: sweep the (explorer x fault plan) matrix through the
+# coordctl surface and require, for every cell, either
 # bit-identity with the fault-free oracle or an honestly reported
 # degradation — never a hang, a corrupt manifest, or a silently wrong
 # state count.
 #
 #   leg 1  fault-free oracles (seq, par) pin down the invariant
 #          statistics lines;
-#   leg 2  supervision cells under two seeded fault plans: explicit
-#          --supervise and auto-enabled must both converge to the par
-#          oracle's invariant lines;
+#   leg 2  the parallel explorer under two seeded fault plans (worker
+#          kills and stalls absorbed by re-mapping chunks, the rest by
+#          recovery) must converge to the par oracle's invariant lines;
 #   leg 3  disk-visited cells under plans widened with storage faults
 #          (--disk-faults: short writes, EIO, ENOSPC, fsync failures)
 #          must converge to the sequential oracle's invariant lines;
@@ -40,14 +40,14 @@ fail() {
 
 # The invariant lines of `explore` output: drop wall-clock throughput,
 # the echoed fault plan, and the infrastructure-weather lines
-# (supervision restarts, recovery retries, steal/handoff traffic, spill
-# counts) that faults and scheduling legitimately perturb. States,
+# (worker restarts, recovery retries, spill counts) that faults
+# legitimately perturb. States,
 # completeness, transitions, depth, dedup accounting and shard load must
 # survive any absorbed fault bit for bit.
 flat() {
   grep -v \
     -e '^fault plan:' -e '^throughput' -e '^supervision:' \
-    -e '^recovery:' -e '^sharding:' -e '^disk visited:' "$1"
+    -e '^recovery:' -e '^disk visited:' "$1"
 }
 
 echo "chaos_soak: fault plan seed $SEED (replay with CHAOS_SEED=$SEED)"
@@ -60,22 +60,19 @@ echo "chaos_soak: fault plan seed $SEED (replay with CHAOS_SEED=$SEED)"
   >"$tmp/oracle_par.txt" 2>&1 || fail "par oracle exited $?"
 flat "$tmp/oracle_par.txt" >"$tmp/oracle_par.flat"
 
-# --- leg 2: supervision under seeded fault plans ------------------------
+# --- leg 2: the parallel explorer under seeded fault plans --------------
 
 for plan in "$SEED" $((SEED + 1)); do
-  for sup in --supervise ""; do
-    cell="plan$plan/${sup:-auto}"
-    # shellcheck disable=SC2086
-    timeout 45 "$COORD" explore mutex -m 3 --par --domains 3 \
-      $sup --inject-faults "$plan" \
-      --snapshot "$tmp/cell.snap" >"$tmp/cell.txt" 2>"$tmp/cell.err" \
-      || fail "$cell exited $? (stderr: $(cat "$tmp/cell.err"))"
-    grep -q '^fault plan:' "$tmp/cell.txt" \
-      || fail "$cell did not print its fault plan"
-    flat "$tmp/cell.txt" | diff -u "$tmp/oracle_par.flat" - >&2 \
-      || fail "$cell diverged from the fault-free oracle"
-    rm -f "$tmp/cell.snap"
-  done
+  cell="par/plan$plan"
+  timeout 45 "$COORD" explore mutex -m 3 --par --domains 3 \
+    --inject-faults "$plan" \
+    --snapshot "$tmp/cell.snap" >"$tmp/cell.txt" 2>"$tmp/cell.err" \
+    || fail "$cell exited $? (stderr: $(cat "$tmp/cell.err"))"
+  grep -q '^fault plan:' "$tmp/cell.txt" \
+    || fail "$cell did not print its fault plan"
+  flat "$tmp/cell.txt" | diff -u "$tmp/oracle_par.flat" - >&2 \
+    || fail "$cell diverged from the fault-free oracle"
+  rm -f "$tmp/cell.snap"
 done
 
 # --- leg 3: disk-visited under storage-widened fault plans --------------

@@ -85,7 +85,7 @@ module Quot (P : Protocol.PROTOCOL) = struct
         true
         (Array.length red.states < Array.length full.states);
     (* the parallel explorer must reproduce the sequential quotient
-       bit-identically, both through the sharded crew (threshold 0) and
+       bit-identically, both through wide generations (threshold 0) and
        through the adaptive sequential path (default threshold) *)
     List.iter
       (fun threshold ->
@@ -418,8 +418,8 @@ let test_gen_canonical_invariance () =
       Alcotest.(check bool)
         (tag "incremental = reference on every orbit element")
         true !agree);
-    (* identical quotient across domain counts, through both the sharded
-       crew (threshold 0) and the adaptive sequential path *)
+    (* identical quotient across domain counts, through both wide
+       generations (threshold 0) and the adaptive sequential path *)
     List.iter
       (fun d ->
         List.iter

@@ -20,8 +20,8 @@ module Parity (P : Protocol.PROTOCOL) = struct
     let n_seq = Array.length seq.states in
     List.iter
       (fun d ->
-        (* threshold 0 forces the sharded crew from depth 0; the default
-           threshold exercises the sequential warm-up / adaptive path *)
+        (* threshold 0 makes every generation wide from depth 0; the
+           default threshold exercises the sequential warm-up *)
         List.iter
           (fun threshold ->
             let par, stats =
@@ -49,9 +49,12 @@ module Parity (P : Protocol.PROTOCOL) = struct
               stats.Checker_stats.domains;
             Alcotest.(check int) (tag "stats states") n_seq
               stats.Checker_stats.n_states;
+            Alcotest.(check int)
+              (tag "no restarts without faults")
+              0 stats.Checker_stats.restarts;
             (match (threshold, d > 1, n_seq > 1) with
             | Some 0, true, true ->
-              (* every generation after depth 0 ran on the sharded crew *)
+              (* every generation from depth 0 on was a wide one *)
               Alcotest.(check bool)
                 (tag "cutover recorded")
                 true
@@ -155,16 +158,12 @@ module PBurns = Parity (Baseline.Burns.P)
 let test_burns () =
   PBurns.run (PBurns.E.config ~ids:[ 1; 2; 3 ] ~inputs:[ (); (); () ] ())
 
-(* --- engine matrix: sequential vs sharded --------------------------------
-   The sharded work-stealing crew promises the sequential graph bit for
-   bit, for every domain count and any mailbox/steal batch size — batches
-   shape scheduling, never the result. Batch size 1 is the adversarial
-   case: every cross-shard candidate rides its own ring slot, maximizing
-   handoff traffic and full-ring backpressure. *)
+(* --- engine matrix: sequential vs parallel --------------------------------
+   Every generation wide (threshold 0), at a domain count below and above
+   the host's cores: chunk claims and the order workers finish in shape
+   scheduling, never the result. *)
 
 let matrix_domains = [ 2; 4 ]
-
-let batch_configs = [ (Some 1, Some 1); (Some 3, Some 2); (None, None) ]
 
 module Matrix (P : Protocol.PROTOCOL) = struct
   module E = Explore.Make (P)
@@ -173,41 +172,28 @@ module Matrix (P : Protocol.PROTOCOL) = struct
     let seq = E.explore ?max_states cfg in
     List.iter
       (fun domains ->
-        List.iter
-          (fun (handoff_batch, steal_batch) ->
-            let par, stats =
-              E.explore_par ?max_states ~domains ~par_threshold:0
-                ?handoff_batch ?steal_batch cfg
-            in
-            let tag what =
-              Printf.sprintf "%s [sharded d=%d hb=%s sb=%s]: %s" P.name domains
-                (match handoff_batch with
-                | Some v -> string_of_int v
-                | None -> "-")
-                (match steal_batch with
-                | Some v -> string_of_int v
-                | None -> "-")
-                what
-            in
-            Alcotest.(check bool)
-              (tag "same states") true
-              (seq.E.states = par.E.states);
-            Alcotest.(check bool)
-              (tag "same transitions") true
-              (seq.E.succs = par.E.succs);
-            Alcotest.(check bool)
-              (tag "same completeness") true
-              (seq.E.complete = par.E.complete);
-            if stats.Checker_stats.complete then
-              Alcotest.(check int)
-                (tag "candidates = states + dedup_hits")
-                (stats.Checker_stats.n_states + stats.Checker_stats.dedup_hits)
-                stats.Checker_stats.candidates;
-            Alcotest.(check int)
-              (tag "shard loads sum to states")
-              (Array.length seq.E.states)
-              (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
-          batch_configs)
+        let par, stats =
+          E.explore_par ?max_states ~domains ~par_threshold:0 cfg
+        in
+        let tag what = Printf.sprintf "%s [d=%d]: %s" P.name domains what in
+        Alcotest.(check bool)
+          (tag "same states") true
+          (seq.E.states = par.E.states);
+        Alcotest.(check bool)
+          (tag "same transitions") true
+          (seq.E.succs = par.E.succs);
+        Alcotest.(check bool)
+          (tag "same completeness") true
+          (seq.E.complete = par.E.complete);
+        if stats.Checker_stats.complete then
+          Alcotest.(check int)
+            (tag "candidates = states + dedup_hits")
+            (stats.Checker_stats.n_states + stats.Checker_stats.dedup_hits)
+            stats.Checker_stats.candidates;
+        Alcotest.(check int)
+          (tag "shard loads sum to states")
+          (Array.length seq.E.states)
+          (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
       matrix_domains
 end
 
@@ -226,22 +212,19 @@ let test_engine_matrix () =
   MMutex.run mutex_cfg
 
 let test_engine_matrix_truncated () =
-  (* the budget must cut the merge scan at the exact same candidate as
-     the sequential scan, at every batch size *)
+  (* the budget must cut the ordered intern at the exact same candidate
+     as the sequential scan, at every domain count *)
   List.iter
     (fun b ->
       MToy.run ~max_states:b (MToy.E.config ~ids:[ 5; 9 ] ~inputs:[ (); () ] ()))
     [ 1; 5; 17 ];
   MMutex.run ~max_states:40 mutex_cfg
 
-(* A worker domain killed by a seeded fault plan mid-campaign: supervised
-   mode must absorb it (respawn, replay) and still produce the exact
-   sequential graph. *)
+(* A worker domain killed by a seeded fault plan mid-campaign: domain 0
+   maps its chunk again and respawns it, and the graph is still the
+   sequential oracle's, bit for bit. *)
 let test_sharded_supervised_kill () =
   let seq = MMutex.E.explore mutex_cfg in
-  (* each crew width gets its own seeded kill: the victim's shard lease
-     must be reassigned (or the attempt replayed), and the merged graph
-     must still be the sequential oracle's, bit for bit *)
   List.iter
     (fun domains ->
       let plan =
@@ -253,8 +236,7 @@ let test_sharded_supervised_kill () =
       Resilience.arm plan;
       Fun.protect ~finally:Resilience.disarm (fun () ->
           let par, stats =
-            MMutex.E.explore_par ~domains ~par_threshold:0 ~supervise:true
-              mutex_cfg
+            MMutex.E.explore_par ~domains ~par_threshold:0 mutex_cfg
           in
           let lbl msg = Printf.sprintf "d%d: %s" domains msg in
           Alcotest.(check bool)
@@ -268,6 +250,89 @@ let test_sharded_supervised_kill () =
           Alcotest.(check bool)
             (lbl "run completed") true stats.Checker_stats.complete))
     [ 2; 4 ]
+
+(* A worker that freezes while holding a chunk, ten times longer than
+   domain 0's patience: domain 0 maps that chunk itself, and the run ends
+   with the fault-free graph and statistics, raising nothing. *)
+let test_stalled_worker () =
+  let cfg =
+    {
+      MMutex.E.ids = [| 7; 13 |];
+      inputs = [| (); () |];
+      namings = [| Naming.identity 5; Naming.rotation 5 1 |];
+    }
+  in
+  let og, os = MMutex.E.explore_par ~domains:2 ~par_threshold:0 cfg in
+  let plan =
+    {
+      Resilience.seed = 12;
+      faults =
+        [
+          Resilience.Stall_domain
+            { domain = 1; after_ticks = 20; for_s = 0.5 };
+        ];
+    }
+  in
+  Resilience.arm plan;
+  Fun.protect ~finally:Resilience.disarm (fun () ->
+      let g, s = MMutex.E.explore_par ~domains:2 ~par_threshold:0 cfg in
+      Alcotest.(check int) "the stall fired" 1 (Resilience.fired ());
+      Alcotest.(check bool) "same states" true
+        (og.MMutex.E.states = g.MMutex.E.states);
+      Alcotest.(check bool) "same transitions" true
+        (og.MMutex.E.succs = g.MMutex.E.succs);
+      Alcotest.(check bool) "stats bit-identical (mod clock)" true
+        (Checker_stats.equal_ignoring_time os s))
+
+(* A protocol with a bug: [step] raises once a process reaches local 6.
+   Whichever domain maps the faulty state, the parallel explorer must
+   raise what the sequential one raises, and must not hang. *)
+module Faulty = struct
+  module Value = Test_runtime.Toy.Value
+
+  type input = unit
+  type output = int
+  type local = int
+
+  let name = "faulty"
+  let default_registers ~n:_ = 2
+  let start ~n:_ ~m:_ ~id:_ () = 0
+
+  let step ~n:_ ~m:_ ~id local : (local, Value.t) Protocol.step =
+    if local = 6 then failwith "faulty: step at local 6"
+    else if local mod 2 = 0 then Write (local mod 4 / 2, id + local, local + 1)
+    else Read (1, fun _ -> local + 1)
+
+  let status _ = Protocol.Trying
+  let compare_local = Int.compare
+  let symmetric = false
+  let map_value_ids _ v = v
+  let map_local_ids _ l = l
+  let pp_local = Format.pp_print_int
+  let pp_input ppf () = Format.pp_print_string ppf "()"
+  let pp_output = Format.pp_print_int
+end
+
+module EFaulty = Explore.Make (Faulty)
+
+let test_step_raises () =
+  let cfg = EFaulty.config ~ids:[ 1; 2; 3 ] ~inputs:[ (); (); () ] () in
+  let raised f =
+    match f () with
+    | _ -> "no exception"
+    | exception e -> Printexc.to_string e
+  in
+  let expected = raised (fun () -> ignore (EFaulty.explore cfg)) in
+  Alcotest.(check string) "the oracle raises"
+    "Failure(\"faulty: step at local 6\")" expected;
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "d=%d raises what explore raises" domains)
+        expected
+        (raised (fun () ->
+             ignore (EFaulty.explore_par ~domains ~par_threshold:0 cfg))))
+    matrix_domains
 
 (* --- statistics coherence on a complete exploration --- *)
 
@@ -323,4 +388,8 @@ let suite =
       test_engine_matrix_truncated;
     Alcotest.test_case "sharded + supervise absorbs a seeded kill" `Quick
       test_sharded_supervised_kill;
+    Alcotest.test_case "a stalled worker's chunk is mapped again" `Quick
+      test_stalled_worker;
+    Alcotest.test_case "a raising step surfaces as in explore" `Quick
+      test_step_raises;
   ]

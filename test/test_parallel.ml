@@ -362,103 +362,8 @@ let test_injected_crash_survivors_decide () =
     Alcotest.(check bool) "validity survives" true
       (List.mem v [ 100; 200; 300 ]))
 
-(* --- Spsc ring edge cases -------------------------------------------
-   The sharded explorer leans on three properties the happy path never
-   exercises: a full ring refuses rather than overwrites (backpressure),
-   indices stay coherent across the capacity boundary (wraparound), and
-   everything a producer published before dying is still poppable by the
-   consumer afterwards (the supervised engine drains a dead slot's rings
-   before replaying an attempt). *)
-
-let test_spsc_backpressure () =
-  let r = Parallel.Spsc.create ~dummy:(-1) 4 in
-  for i = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "push %d accepted" i)
-      true
-      (Parallel.Spsc.try_push r i)
-  done;
-  Alcotest.(check bool) "full ring refuses" false (Parallel.Spsc.try_push r 99);
-  Alcotest.(check bool) "still refuses" false (Parallel.Spsc.try_push r 99);
-  Alcotest.(check (option int)) "FIFO head survives the refusals" (Some 0)
-    (Parallel.Spsc.try_pop r);
-  Alcotest.(check bool)
-    "one slot freed, push accepted" true
-    (Parallel.Spsc.try_push r 4);
-  for i = 1 to 4 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "drain %d" i)
-      (Some i) (Parallel.Spsc.try_pop r)
-  done;
-  Alcotest.(check bool) "empty again" true (Parallel.Spsc.is_empty r)
-
-let test_spsc_wraparound () =
-  (* capacity 3 against 1000 elements: head/tail lap the buffer hundreds
-     of times; FIFO order and exactly-once delivery must hold at every
-     boundary crossing, including pops interleaved mid-capacity *)
-  let cap = 3 in
-  let r = Parallel.Spsc.create ~dummy:(-1) cap in
-  let next_pop = ref 0 in
-  let pushed = ref 0 in
-  while !next_pop < 1000 do
-    while !pushed < 1000 && Parallel.Spsc.try_push r !pushed do
-      incr pushed
-    done;
-    (match Parallel.Spsc.try_pop r with
-    | Some v ->
-      Alcotest.(check int) "FIFO across wraparound" !next_pop v;
-      incr next_pop
-    | None -> Alcotest.fail "ring empty with items outstanding");
-    (* leave the ring partially full so the indices cross the capacity
-       boundary at every alignment, not just multiples of [cap] *)
-    if !next_pop mod 7 = 0 then
-      match Parallel.Spsc.try_pop r with
-      | Some v ->
-        Alcotest.(check int) "FIFO across wraparound" !next_pop v;
-        incr next_pop
-      | None -> ()
-  done;
-  Alcotest.(check bool) "drained" true (Parallel.Spsc.is_empty r)
-
-let test_spsc_drain_after_producer_death () =
-  let r = Parallel.Spsc.create ~dummy:[||] 8 in
-  let accepted = Atomic.make 0 in
-  let producer =
-    Domain.spawn (fun () ->
-        (* publish what fits, then die abruptly — mirroring a killed
-           worker with batches already released to a peer's inbox *)
-        for i = 0 to 20 do
-          if Parallel.Spsc.try_push r [| i; i * i |] then Atomic.incr accepted
-        done;
-        raise Exit)
-  in
-  (match Domain.join producer with
-  | exception Exit -> ()
-  | () -> Alcotest.fail "producer should have died");
-  let drained = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match Parallel.Spsc.try_pop r with
-    | Some batch ->
-      let i = batch.(0) in
-      Alcotest.(check int) "batch intact" (i * i) batch.(1);
-      incr drained
-    | None -> continue_ := false
-  done;
-  Alcotest.(check int)
-    "every batch the dead producer published is recovered"
-    (Atomic.get accepted) !drained;
-  Alcotest.(check bool) "inbox empty after the sweep" true
-    (Parallel.Spsc.is_empty r)
-
 let suite =
   [
-    Alcotest.test_case "spsc: full ring refuses, frees, accepts" `Quick
-      test_spsc_backpressure;
-    Alcotest.test_case "spsc: wraparound keeps FIFO exactly-once" `Quick
-      test_spsc_wraparound;
-    Alcotest.test_case "spsc: dead producer's batches drain" `Quick
-      test_spsc_drain_after_producer_death;
     Alcotest.test_case "consensus across domains" `Slow test_consensus_domains;
     Alcotest.test_case "renaming across domains" `Slow test_renaming_domains;
     Alcotest.test_case "mutex sessions across domains" `Slow

@@ -71,12 +71,49 @@ let test_all_quick_experiments () =
     (List.nth row_n2 1);
   Alcotest.(check string) "E3 n=2 m=3 coprime" "coprime" (List.nth row_n2 2)
 
+(* E22's disk-quota cell and a sweep without a state dir both work in
+   directories of their own under the temp dir; neither may leave one
+   behind. *)
+let test_no_temp_leftovers () =
+  let saved = Filename.get_temp_dir_name () in
+  let tmp = Filename.temp_file "coordreport-tmp" ".d" in
+  Sys.remove tmp;
+  Unix.mkdir tmp 0o755;
+  Filename.set_temp_dir_name tmp;
+  let leftovers () = Array.to_list (Sys.readdir tmp) in
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      List.iter
+        (fun f ->
+          let p = Filename.concat tmp f in
+          if Sys.is_directory p then begin
+            Array.iter (fun g -> Sys.remove (Filename.concat p g)) (Sys.readdir p);
+            Sys.rmdir p
+          end
+          else Sys.remove p)
+        (leftovers ());
+      Sys.rmdir tmp)
+    (fun () ->
+      (match Report.Experiments.by_id "E22" with
+      | Some e22 -> ignore (e22 Report.Experiments.Quick)
+      | None -> Alcotest.fail "E22 missing");
+      Alcotest.(check (list string)) "E22 leaves the temp dir empty" []
+        (leftovers ());
+      (match Serve.Sweep.parse "name = t\nprotocols = mutex\nm = 3\n" with
+      | Ok spec -> ignore (Serve.Sweep.run spec)
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check (list string)) "a sweep leaves the temp dir empty" []
+        (leftovers ()))
+
 let suite =
   [
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table rejects ragged rows" `Quick
       test_table_rejects_ragged_rows;
     Alcotest.test_case "experiment lookup" `Quick test_by_id;
+    Alcotest.test_case "E22 and sweeps leave no temp files" `Quick
+      test_no_temp_leftovers;
     Alcotest.test_case "all quick experiments run clean" `Slow
       test_all_quick_experiments;
   ]

@@ -152,10 +152,32 @@ let test_cache_save_load () =
   | Some _ -> ()
   | None -> Alcotest.fail "persisted entry must hit");
   (* a corrupt file loads as an empty cache, not an exception *)
-  let oc = open_out_bin path in
-  output_string oc "not a marshalled cache";
-  close_out oc;
+  let overwrite bytes =
+    let oc = open_out_bin path in
+    output_string oc bytes;
+    close_out oc
+  in
+  overwrite "not a marshalled cache";
   Alcotest.(check int) "corrupt file -> empty cache" 0
+    (Serve.Cache.length (Serve.Cache.load ~path));
+  (* a raw-Marshal file of entries, as older builds wrote it, is
+     discarded rather than decoded against today's layout *)
+  overwrite
+    (Marshal.to_string
+       ([ (key, [ entry "id1" ]) ] : (string * Serve.Cache.entry list) list)
+       []);
+  Alcotest.(check int) "raw Marshal file -> empty cache" 0
+    (Serve.Cache.length (Serve.Cache.load ~path));
+  (* one flipped payload byte fails the CRC *)
+  Serve.Cache.save c ~path;
+  let ic = open_in_bin path in
+  let saved = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let flipped = Bytes.of_string saved in
+  let at = Bytes.length flipped - 8 in
+  Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 0x40));
+  overwrite (Bytes.to_string flipped);
+  Alcotest.(check int) "flipped payload byte -> empty cache" 0
     (Serve.Cache.length (Serve.Cache.load ~path));
   Sys.remove path
 
