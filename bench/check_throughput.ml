@@ -112,25 +112,44 @@ let reps = ref 3
    to [time_rep_cap] total) until the cumulative measured time reaches
    [time_floor_s]. A single scheduler hiccup on a 2 ms graph can no
    longer set the min; workloads already past the floor stop at [reps]
-   as before. *)
+   as before. [time_best_each] times several workloads one repetition of
+   each in turn, best per workload, so host drift during the measurement
+   moves every side of a ratio alike. *)
 let time_floor_s = 0.25
 let time_rep_cap = 50
 
-let time_best f =
-  let best = ref None in
-  let total = ref 0. in
+let time_best_each fs =
+  let fs = Array.of_list fs in
+  let best = Array.map (fun _ -> None) fs in
+  let total = Array.map (fun _ -> 0.) fs in
   let n = ref 0 in
   let mandatory = max 1 !reps in
-  while !n < mandatory || (!total < time_floor_s && !n < time_rep_cap) do
-    let r, s = f () in
-    incr n;
-    total := !total +. s.Check.Checker_stats.elapsed_s;
-    match !best with
-    | Some (_, s0) when s0.Check.Checker_stats.elapsed_s <= s.Check.Checker_stats.elapsed_s
-      -> ()
-    | _ -> best := Some (r, s)
+  while
+    !n < mandatory
+    || (Array.exists (fun t -> t < time_floor_s) total && !n < time_rep_cap)
+  do
+    Array.iteri
+      (fun i f ->
+        let r, s = f () in
+        total.(i) <- total.(i) +. s.Check.Checker_stats.elapsed_s;
+        match best.(i) with
+        | Some (_, s0)
+          when s0.Check.Checker_stats.elapsed_s
+               <= s.Check.Checker_stats.elapsed_s -> ()
+        | _ -> best.(i) <- Some (r, s))
+      fs;
+    incr n
   done;
-  Option.get !best
+  Array.to_list (Array.map Option.get best)
+
+let time_best f = List.hd (time_best_each [ f ])
+
+(* Sequential and parallel best-of-reps of one configuration, measured
+   alternately. *)
+let time_seq_par seq par =
+  match time_best_each [ seq; par ] with
+  | [ s; p ] -> (s, p)
+  | _ -> assert false
 
 module Sweep (P : Protocol.PROTOCOL) = struct
   module E = Check.Explore.Make (P)
@@ -165,8 +184,11 @@ module Sweep (P : Protocol.PROTOCOL) = struct
       skipped_entry ~label ~kind:"par-vs-seq" "single-domain host"
     end
     else begin
-    let gs, ss = time_best (fun () -> E.explore_with_stats ?max_states cfg) in
-    let gp, sp = time_best (fun () -> E.explore_par ~domains ?max_states cfg) in
+    let (gs, ss), (gp, sp) =
+      time_seq_par
+        (fun () -> E.explore_with_stats ?max_states cfg)
+        (fun () -> E.explore_par ~domains ?max_states cfg)
+    in
     if not (same gs gp) then
       failwith (str "%s: parallel explorer diverged from sequential" label);
     check_accounting ~label ~which:"seq" ss;
@@ -215,8 +237,6 @@ module Sweep (P : Protocol.PROTOCOL) = struct
           "single-domain host" ]
     end
     else begin
-      let gs, ss = time_best (fun () -> E.explore_with_stats ?max_states cfg) in
-      check_accounting ~label ~which:"seq" ss;
       let curve =
         List.sort_uniq compare
           (domains :: List.filter (fun d -> d <= domains) [ 2; 4; 8; 16 ])
@@ -224,9 +244,12 @@ module Sweep (P : Protocol.PROTOCOL) = struct
       List.map
         (fun d ->
           let row_label = str "%s [sharded d=%d]" label d in
-          let gp, sp =
-            time_best (fun () -> E.explore_par ~domains:d ?max_states cfg)
+          let (gs, ss), (gp, sp) =
+            time_seq_par
+              (fun () -> E.explore_with_stats ?max_states cfg)
+              (fun () -> E.explore_par ~domains:d ?max_states cfg)
           in
+          check_accounting ~label ~which:"seq" ss;
           if not (same gs gp) then
             failwith (str "%s: sharded run diverged from sequential" row_label);
           check_accounting ~label:row_label ~which:"sharded" sp;

@@ -7,24 +7,80 @@
      coordctl symmetry [-n N] [-m M]        run the Thm 3.4 lock-step attack
      coordctl covering PROTO [-m M] ...     run the §6 covering adversary
      coordctl fuzz PROTO [--shrink] ...     differential fuzzing sweep
-     coordctl shrink BUNDLE [--replay]      minimize / re-run a witness *)
+     coordctl shrink BUNDLE [--replay]      minimize / re-run a witness
+
+   Every protocol is wired once, in Serve.Protocols: its inputs, judged
+   properties, fuzz suite and baseline twin. The commands below look
+   protocols up there; `check` runs the daemon's own job loop. *)
 
 open Anonmem
 
 let str = Printf.sprintf
 
-(* ------------------------------------------------------------------ *)
-(* simulate                                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* Protocols, their names and default register counts come from the
    job-spec table the serving layer uses. *)
 module Spec = Serve.Spec
+module Protocols = Serve.Protocols
 
 let proto_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Spec.proto_of_string s) in
   let print ppf p = Format.pp_print_string ppf (Spec.proto_to_string p) in
   Cmdliner.Arg.conv (parse, print)
+
+let default_m proto ~n m =
+  match m with Some m -> m | None -> Spec.default_m proto ~n
+
+let ensure_dir dir =
+  if not (Sys.file_exists dir) then
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+
+let reduction_of_flags ~canon ~no_canon =
+  if canon && no_canon then
+    failwith "--canon and --no-canon are mutually exclusive"
+  else if canon then Check.Explore.Canon
+  else Check.Explore.Full
+
+let canon_note (module X : Protocols.ENTRY) ~n reduction =
+  let module E = Check.Explore.Make (X.P) in
+  if reduction = Check.Explore.Canon && E.canon_degraded ~n then
+    Format.printf
+      "note: --canon degraded to the identity group (%s): exploring the \
+       full graph, reduction factor 1.0.@."
+      (if not X.P.symmetric then X.P.name ^ " is not a symmetric protocol"
+       else str "n = %d exceeds the group-enumeration bound 7" n)
+
+(* --inject-faults SEED arms a deterministic infrastructure-fault plan,
+   prints it so the whole campaign replays from the seed, and hands the
+   command a private temp directory to checkpoint into (recovery needs
+   somewhere to resume from). The plan is disarmed and the directory
+   removed when the command ends, also when it raises. *)
+let with_faults ?domains ?disk inject f =
+  match inject with
+  | None -> f None
+  | Some seed ->
+    let plan = Resilience.plan_of_seed ?domains ?disk seed in
+    Resilience.arm plan;
+    Format.printf "fault plan: %a@." Resilience.pp_plan plan;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (str "coordctl-inject-%d" (Unix.getpid ()))
+    in
+    ensure_dir dir;
+    let cleanup () =
+      Resilience.disarm ();
+      try
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      with Sys_error _ -> ()
+    in
+    Fun.protect ~finally:cleanup (fun () -> f (Some dir))
+
+(* ------------------------------------------------------------------ *)
+(* simulate                                                            *)
+(* ------------------------------------------------------------------ *)
 
 module Sim (P : Protocol.PROTOCOL) = struct
   module R = Runtime.Make (P)
@@ -33,7 +89,7 @@ module Sim (P : Protocol.PROTOCOL) = struct
     let rng = Rng.create seed in
     let cfg : R.config =
       {
-        ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
+        ids = Protocols.ids ~n;
         inputs;
         namings = Array.init n (fun _ -> Naming.random rng m);
         rng = Some (Rng.split rng);
@@ -61,422 +117,106 @@ module Sim (P : Protocol.PROTOCOL) = struct
     Format.printf "final state:@.%a@." R.pp_state rt
 end
 
-let simulate (proto : Spec.proto) n m seed steps show_trace =
-  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
-  (match proto with
-  | Mutex ->
-    let module S = Sim (Coord.Amutex.P) in
-    S.run ~n ~m ~seed ~steps ~show_trace ~inputs:(Array.make n ())
-  | Cmp_mutex ->
-    let module S = Sim (Coord.Cmp_mutex.P) in
-    S.run ~n ~m ~seed ~steps ~show_trace ~inputs:(Array.make n ())
-  | Consensus ->
-    let module S = Sim (Coord.Consensus.P) in
-    S.run ~n ~m ~seed ~steps ~show_trace
-      ~inputs:(Array.init n (fun i -> (i + 1) * 100))
-  | Election ->
-    let module S = Sim (Coord.Election.P) in
-    S.run ~n ~m ~seed ~steps ~show_trace ~inputs:(Array.make n ())
-  | Renaming ->
-    let module S = Sim (Coord.Renaming.P) in
-    S.run ~n ~m ~seed ~steps ~show_trace ~inputs:(Array.make n ())
-  | Ccp ->
-    let module S = Sim (Coord.Ccp.P) in
-    S.run ~n ~m ~seed ~steps ~show_trace ~inputs:(Array.make n ()));
+let simulate proto n m seed steps show_trace =
+  let module X = (val Protocols.find proto) in
+  let module S = Sim (X.P) in
+  S.run ~n ~m:(default_m proto ~n m) ~seed ~steps ~show_trace
+    ~inputs:(X.inputs ~n);
   Ok 0
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* How the `check` command explores: sequential oracle by default; the
-   frontier-parallel explorer with [--par]; checker statistics (states/sec,
-   dedup hit-rate, shard load) with [--stats]; the symmetry quotient with
-   [--canon] (sound for every protocol: verdicts coincide with the full
-   graph's, see DESIGN.md §9). [--max-states] truncates; [--snapshot-dir]
-   checkpoints each naming's exploration so a truncated or interrupted
-   sweep can be resumed with [--resume] (see DESIGN.md §10). [--deadline]
-   bounds wall clock; [--salvage]/[--inject-faults] are the self-healing
-   surface (see DESIGN.md §12). *)
-type chk_opts = {
-  par : bool;
-  domains : int option;
-  stats : bool;
-  reduction : Check.Explore.reduction;
-  max_states : int option;
-  snapshot_dir : string option;
-  snapshot_every : int option;
-  resume : string option;
-  deadline_s : float option;
-  salvage : bool;
-  recover : bool;  (** wrap explorations in [with_recovery] (fault campaigns) *)
-  saw_deadline : bool ref;
-      (** set when any exploration in the sweep stopped on the deadline,
-          so the driver can exit 6 rather than the generic truncated 3 *)
-}
+(* `check` is a client of the job runner: it builds a check spec from
+   its flags and runs the runner's naming sweep to completion in one
+   unsliced, uncached slice, so it prints the per-configuration lines a
+   served job stores (DESIGN.md §15). [--par] selects the
+   frontier-parallel explorer; [--canon] the symmetry quotient (sound
+   for every protocol, DESIGN.md §9); [--snapshot-dir] checkpoints the
+   configuration in progress so an interrupted sweep continues with
+   [--resume] (§10); [--deadline] bounds the whole command;
+   [--salvage]/[--inject-faults] are the self-healing surface (§12).
 
-let default_chk_opts =
-  {
-    par = false;
-    domains = None;
-    stats = false;
-    reduction = Check.Explore.Full;
-    max_states = None;
-    snapshot_dir = None;
-    snapshot_every = None;
-    resume = None;
-    deadline_s = None;
-    salvage = false;
-    recover = false;
-    saw_deadline = ref false;
-  }
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-module Chk (P : Protocol.PROTOCOL) = struct
-  module E = Check.Explore.Make (P)
-
-  (* All relative namings for 2 processes; rotations for more. *)
-  let namings_under_test ~n ~m =
-    if n = 2 && m <= 5 then
-      List.map (fun nm -> Array.of_list [ Naming.identity m; nm ]) (Naming.all m)
-    else
-      [ Array.init n (fun k -> Naming.rotation m k) ]
-
-  let explore_one ?snapshot_to ?resume_from opts cfg =
-    let run ~resume_from ~snapshot_to =
-      if opts.par then
-        E.explore_par ?max_states:opts.max_states ?domains:opts.domains
-          ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
-          ?deadline_s:opts.deadline_s ~salvage:opts.salvage
-          ~reduction:opts.reduction cfg
-      else
-        E.explore_with_stats ?max_states:opts.max_states
-          ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
-          ?deadline_s:opts.deadline_s ~salvage:opts.salvage
-          ~reduction:opts.reduction cfg
-    in
-    let g, st =
-      match (opts.recover, snapshot_to) with
-      | true, Some snap ->
-        (* fault campaign: transient infrastructure failures (killed
-           domain 0, allocation failure, corrupt checkpoint) retry from
-           the newest salvageable snapshot instead of failing the sweep *)
-        E.with_recovery ?resume_from ~snapshot_to:snap
-          (fun ~resume_from ~snapshot_to ->
-            run ~resume_from ~snapshot_to:(Some snapshot_to))
-      | _ -> run ~resume_from ~snapshot_to
-    in
-    if st.Check.Checker_stats.stop = Check.Checker_stats.Deadline then
-      opts.saw_deadline := true;
-    if opts.stats then Format.printf "%a@." Check.Checker_stats.pp st;
-    g
-
-  (* Returns [true] if any exploration in the sweep was truncated. A
-     [--resume] snapshot is matched to its naming assignment by config
-     fingerprint; if no assignment in the sweep matches, the snapshot
-     belongs to some other configuration and we refuse
-     (Snapshot.Config_mismatch, exit 4). *)
-  let explore_all ?(opts = default_chk_opts) ~n ~m ~inputs ~report () =
-    if opts.reduction = Check.Explore.Canon && E.canon_degraded ~n then
-      Format.printf
-        "note: --canon degraded to the identity group (%s): exploring the \
-         full graph, reduction factor 1.0.@."
-        (if not P.symmetric then P.name ^ " is not a symmetric protocol"
-         else str "n = %d exceeds the group-enumeration bound 7" n);
-    let resume_meta =
-      Option.map
-        (fun path -> (path, Check.Snapshot.read_meta ~path))
-        opts.resume
-    in
-    let resume_used = ref false in
-    Option.iter ensure_dir opts.snapshot_dir;
-    let count = ref 0 in
-    let truncated = ref false in
-    List.iter
-      (fun namings ->
-        incr count;
-        let cfg : E.config =
-          { ids = Array.init n (fun i -> ((i + 1) * 17) + 1); inputs; namings }
-        in
-        let fp, _descr = E.fingerprint ~reduction:opts.reduction cfg in
-        let snapshot_to =
-          Option.map
-            (fun dir ->
-              Filename.concat dir
-                (str "%s-n%d-m%d-%d.snap" P.name n m !count))
-            opts.snapshot_dir
-        in
-        let resume_from =
-          match resume_meta with
-          | Some (path, meta) when meta.Check.Snapshot.fingerprint = fp ->
-            resume_used := true;
-            Some path
-          | _ -> None
-        in
-        let g = explore_one ?snapshot_to ?resume_from opts cfg in
-        if not g.E.complete then truncated := true;
-        report namings g)
-      (namings_under_test ~n ~m);
-    (match resume_meta with
-    | Some (path, meta) when not !resume_used ->
-      (* none of the swept configurations matches the snapshot *)
-      let _, descr =
-        E.fingerprint ~reduction:opts.reduction
-          {
-            ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-            inputs;
-            namings = List.hd (namings_under_test ~n ~m);
-          }
-      in
-      raise
-        (Check.Snapshot.Error
-           (Check.Snapshot.Config_mismatch
-              { path; snapshot = meta.Check.Snapshot.descr; current = descr }))
-    | _ -> ());
-    Format.printf "%d naming assignment(s) checked.@." !count;
-    !truncated
-end
-
-module Mutex_check (P : Protocol.PROTOCOL with type input = unit) = struct
-  module C = Chk (P)
-
-  (* Starvation is reported for information; only ME/DF count as
-     violations, matching the paper's two requirements. *)
-  let run ~opts ~n ~m =
-    let bad = ref false in
-    let truncated =
-      C.explore_all ~opts ~n ~m ~inputs:(Array.make n ()) ()
-        ~report:(fun namings g ->
-        let f = C.E.to_flat g in
-        let me = Check.Mutex_props.mutual_exclusion f in
-        let df = Check.Mutex_props.deadlock_freedom f in
-        let sf = Check.Mutex_props.starvation_freedom f in
-        if me <> None || df <> None then bad := true;
-        Format.printf "namings %s: %d states, mutual-exclusion %s, \
-                       deadlock-freedom %s, starvation-freedom %s@."
-          (String.concat " "
-             (List.map (Format.asprintf "%a" Naming.pp) (Array.to_list namings)))
-          (Array.length g.states)
-          (match me with None -> "ok" | Some _ -> "VIOLATED")
-          (match df with None -> "ok" | Some _ -> "VIOLATED")
-            (match sf with
-            | None -> "ok"
-            | Some (p, _) -> str "p%d can starve" p))
-    in
-    (!bad, truncated)
-end
-
-let check_mutex ~opts ~n ~m =
-  let module M = Mutex_check (Coord.Amutex.P) in
-  M.run ~opts ~n ~m
-
-let check_cmp_mutex ~opts ~n ~m =
-  let module M = Mutex_check (Coord.Cmp_mutex.P) in
-  M.run ~opts ~n ~m
-
-let check_decision (type g) ~n ~m ~inputs
-    ~(explore_all :
-       inputs:'i array ->
-       report:(Naming.t array -> g -> unit) ->
-       bool) ~(verdicts : g -> (string * bool) list) =
-  ignore n;
-  ignore m;
-  let bad = ref false in
-  let truncated =
-    explore_all ~inputs ~report:(fun namings g ->
-        let vs = verdicts g in
-        if List.exists (fun (_, ok) -> not ok) vs then bad := true;
-        Format.printf "namings %s: %s@."
-          (String.concat " "
-             (List.map (Format.asprintf "%a" Naming.pp) (Array.to_list namings)))
-          (String.concat ", "
-             (List.map
-                (fun (name, ok) ->
-                  str "%s %s" name (if ok then "ok" else "VIOLATED"))
-                vs)))
-  in
-  (!bad, truncated)
-
-let reduction_of_flags ~canon ~no_canon =
-  if canon && no_canon then
-    failwith "--canon and --no-canon are mutually exclusive"
-  else if canon then Check.Explore.Canon
-  else Check.Explore.Full
-
-(* Exit codes (also rendered in `coordctl check --help`): 0 all properties
-   hold on a complete exploration; 1 a violation was found; 3 no violation
-   but some exploration was truncated (the verdict covers only the explored
-   prefix); 4 a --resume snapshot was rejected (corrupt, wrong version, or
-   fingerprint mismatch with every swept configuration); 6 the --deadline
-   expired (graceful stop at a generation boundary, snapshot flushed). *)
-let check (proto : Spec.proto) n m par domains stats canon no_canon max_states
-    snapshot_dir snapshot_every resume deadline salvage inject =
+   Exit codes (also rendered in `coordctl check --help`): 0 all
+   properties hold on complete explorations; 1 a violation was found; 3
+   no violation but some exploration was truncated (the verdict covers
+   only the explored prefix); 4 a --resume snapshot was rejected
+   (corrupt, wrong version, or fingerprint mismatch with every swept
+   configuration); 6 the --deadline expired (graceful stop at a
+   generation boundary, snapshot flushed). *)
+let check proto n m par domains stats canon no_canon max_states snapshot_dir
+    snapshot_every resume deadline salvage inject =
   let reduction = reduction_of_flags ~canon ~no_canon in
-  (* --inject-faults SEED arms a deterministic infrastructure-fault plan
-     and implies the rest of the self-healing stack: snapshot salvage,
-     with_recovery retries, and somewhere to recover from — a private
-     snapshot dir is synthesized when none was given. The plan seed is
-     printed so the whole campaign can be replayed. *)
-  let snapshot_dir =
-    match (inject, snapshot_dir) with
-    | Some _, None ->
-      Some
-        (Filename.concat
-           (Filename.get_temp_dir_name ())
-           (str "coordctl-inject-%d" (Unix.getpid ())))
-    | _ -> snapshot_dir
+  let m = default_m proto ~n m in
+  let spec =
+    Spec.make ~n ~m ~reduction
+      ~engine:(if par then Spec.Par else Spec.Seq)
+      ?max_states ?deadline_s:deadline Spec.Check proto
   in
+  let entry = Protocols.find proto in
+  let module X = (val entry) in
+  (* --inject-faults implies salvage, crash recovery and a tight
+     checkpoint cadence, so recovery has boundaries to resume from *)
+  let faults = inject <> None in
   let snapshot_every =
-    (* tight checkpoint cadence so recovery has boundaries to resume from *)
-    if inject <> None && snapshot_every = None then Some 1 else snapshot_every
+    if faults && snapshot_every = None then Some 1 else snapshot_every
   in
-  (match inject with
-  | Some seed ->
-    let plan = Resilience.plan_of_seed ?domains seed in
-    Resilience.arm plan;
-    Format.printf "fault plan: %a@." Resilience.pp_plan plan
-  | None -> ());
-  let opts =
-    {
-      par;
-      domains;
-      stats;
-      reduction;
-      max_states;
-      snapshot_dir;
-      snapshot_every;
-      resume;
-      deadline_s = deadline;
-      salvage = salvage || inject <> None;
-      recover = inject <> None;
-      saw_deadline = ref false;
-    }
+  with_faults ?domains inject @@ fun private_dir ->
+  canon_note entry ~n reduction;
+  let snapshot =
+    Option.map
+      (fun dir ->
+        ensure_dir dir;
+        Filename.concat dir (str "%s-n%d-m%d.snap" X.P.name n m))
+      (if snapshot_dir = None then private_dir else snapshot_dir)
   in
-  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
-  let body () =
-    match
-      match proto with
-    | Mutex -> check_mutex ~opts ~n ~m
-    | Cmp_mutex -> check_cmp_mutex ~opts ~n ~m
-    | Consensus ->
-      let module C = Chk (Coord.Consensus.P) in
-      let inputs = Array.init n (fun i -> (i + 1) * 100) in
-      check_decision ~n ~m ~inputs
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          [
-            ( "agreement",
-              Check.Props.agreement ~equal:Int.equal ~statuses:C.E.statuses
-                g.C.E.states
-              = None );
-            ( "validity",
-              Check.Props.validity
-                ~allowed:(fun v -> Array.exists (( = ) v) inputs)
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ("of-termination", C.E.check_obstruction_freedom g = None);
-          ])
-    | Election ->
-      let module C = Chk (Coord.Election.P) in
-      let ids = Array.init n (fun i -> ((i + 1) * 17) + 1) in
-      check_decision ~n ~m ~inputs:(Array.make n ())
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          [
-            ( "one-leader",
-              Check.Props.agreement ~equal:Int.equal ~statuses:C.E.statuses
-                g.C.E.states
-              = None );
-            ( "leader-participates",
-              Check.Props.validity
-                ~allowed:(fun v -> Array.exists (( = ) v) ids)
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ("of-termination", C.E.check_obstruction_freedom g = None);
-          ])
-    | Renaming ->
-      let module C = Chk (Coord.Renaming.P) in
-      check_decision ~n ~m ~inputs:(Array.make n ())
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          [
-            ( "uniqueness",
-              Check.Props.distinct_outputs ~equal:Int.equal
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ( "adaptivity",
-              Check.Props.adaptive_range ~name_of:Fun.id
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ("of-termination", C.E.check_obstruction_freedom g = None);
-          ])
-    | Ccp ->
-      let module C = Chk (Coord.Ccp.P) in
-      check_decision ~n ~m ~inputs:(Array.make n ())
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          (* agreement is on the physical register chosen *)
-          let safe = ref true in
-          Array.iter
-            (fun st ->
-              let phys =
-                Array.to_list
-                  (Array.mapi
-                     (fun p l ->
-                       match Coord.Ccp.P.status l with
-                       | Protocol.Decided loc ->
-                         Some (Naming.apply g.C.E.cfg.namings.(p) loc)
-                       | _ -> None)
-                     st.C.E.locals)
-                |> List.filter_map Fun.id
-              in
-              match phys with
-              | a :: rest -> if List.exists (( <> ) a) rest then safe := false
-              | [] -> ())
-            g.C.E.states;
-          [ ("same-register", !safe) ])
+  let run () =
+    Serve.Runner.run_slice ?deadline_left_s:deadline
+      ~salvage:(salvage || faults) ?domains ?snapshot_every ?resume
+      ~recover:faults ?snapshot spec Serve.Runner.start
+  in
+  (* scoped, not leaked: previous SIGINT/SIGTERM dispositions are
+     restored when the check returns (or raises) *)
+  match if snapshot <> None then Check.Snapshot.with_signal_handlers run
+    else run ()
   with
   | exception Check.Snapshot.Error e ->
     Format.eprintf "coordctl: snapshot rejected: %s@."
       (Check.Snapshot.error_message e);
     Ok 4
-  | bad, truncated ->
-    if truncated then
+  | Serve.Runner.Yield _ -> assert false (* no quantum: one slice *)
+  | Serve.Runner.Done o ->
+    let lines =
+      List.map String.trim (String.split_on_char ';' o.Serve.Runner.detail)
+    in
+    List.iteri
+      (fun i line ->
+        if stats then
+          Option.iter
+            (Format.printf "%a@." Check.Checker_stats.pp)
+            (List.nth_opt o.Serve.Runner.stats i);
+        Format.printf "%s@." line)
+      lines;
+    Format.printf "%d naming assignment(s) checked.@." (List.length lines);
+    if
+      List.exists
+        (fun st -> not st.Check.Checker_stats.complete)
+        o.Serve.Runner.stats
+    then
       Format.eprintf
         "WARNING: exploration truncated (state budget, interrupt or \
          deadline); verdicts cover only the explored prefix.@.";
-    if bad then begin
-      Format.printf "RESULT: violations found.@.";
-      Ok 1
-    end
-    else if !(opts.saw_deadline) then begin
-      Format.printf "RESULT: no violation before the deadline \
-                     (incomplete; snapshot flushed for --resume).@.";
-      Ok 6
-    end
-    else if truncated then begin
-      Format.printf "RESULT: no violation in the explored prefix \
-                     (incomplete).@.";
-      Ok 3
-    end
-    else begin
-      Format.printf "RESULT: all properties hold.@.";
-      Ok 0
-    end
-  in
-  Fun.protect ~finally:Resilience.disarm (fun () ->
-      if opts.snapshot_dir <> None then
-        (* scoped, not leaked: previous SIGINT/SIGTERM dispositions are
-           restored when the check returns (or raises) *)
-        Check.Snapshot.with_signal_handlers body
-      else body ())
+    Format.printf "RESULT: %s@."
+      (match o.Serve.Runner.verdict with
+      | Serve.Runner.Violation -> "violations found."
+      | Serve.Runner.Deadline ->
+        "no violation before the deadline (incomplete; snapshot flushed \
+         for --resume)."
+      | Serve.Runner.Truncated ->
+        "no violation in the explored prefix (incomplete)."
+      | _ -> "all properties hold.");
+    Ok (Serve.Runner.verdict_exit o.Serve.Runner.verdict)
 
 (* ------------------------------------------------------------------ *)
 (* adversaries                                                         *)
@@ -602,7 +342,7 @@ let rejoin_spec_conv =
   let print ppf (p, k, d) = Format.fprintf ppf "%d@%d+%d" p k d in
   Cmdliner.Arg.conv (parse, print)
 
-let chaos_ids n = List.init n (fun i -> ((i + 1) * 17) + 1)
+let chaos_ids n = Array.to_list (Protocols.ids ~n)
 
 (* With no explicit plan, each attempt draws one fresh random crash. *)
 let plan_for_attempt master n prefix_steps = function
@@ -711,7 +451,7 @@ end
 
 let chaos (proto : Spec.proto) n m seed attempts prefix_steps crashes crash_cs
     rejoins =
-  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
+  let m = default_m proto ~n m in
   let plan =
     List.map (fun (proc, after) -> Fault.Crash_at_step { proc; after }) crashes
     @ List.map (fun proc -> Fault.Crash_in_critical { proc }) crash_cs
@@ -777,31 +517,33 @@ let chaos (proto : Spec.proto) n m seed attempts prefix_steps crashes crash_cs
    shrunk and written to the corpus), 5 engine disagreement — the
    explorers, the property checkers, the runtime and the baseline twin
    cross-validate each other, so 5 means a checker bug, not a protocol
-   bug. *)
-module Fz (P : Protocol.PROTOCOL) = struct
-  module F = Check.Fuzz.Make (P)
+   bug. The campaign is built from the protocol's table entry, as a
+   served fuzz job's is. *)
+module Fz (X : Protocols.ENTRY) = struct
+  module F = Check.Fuzz.Make (X.P)
 
   (* The shrinker's property for a named fuzz property: safety predicates
      are replayed directly; liveness witnesses are lassos. *)
-  let sprop ~properties ~inputs name =
+  let sprop ~inputs name =
     match
-      List.find_opt (fun (p : F.property) -> p.F.name = name) properties
+      List.find_opt (fun (p : F.property) -> p.F.name = name) X.fuzz_properties
     with
     | Some { F.rt_check = Some pred; _ } -> Some (F.S.Safety (pred inputs))
     | Some { F.rt_check = None; _ } -> Some F.S.Lasso
     | None -> None
 
-  let write_bundle ~proto_name ~pname ~input_to_string ~path b =
+  let write_bundle ~proto_name ~pname ~path b =
     Check.Shrink.write_raw path
-      (F.S.to_raw ~protocol:proto_name ~property_name:pname ~input_to_string b);
+      (F.S.to_raw ~protocol:proto_name ~property_name:pname
+         ~input_to_string:X.input_to_string b);
     Format.printf "wrote %s@." path
 
-  let fuzz ~proto_name ~properties ~gen_inputs ~input_to_string ~deterministic
-      ?twin ~n ~m ~attempts ~seconds ~seed ~max_states ~probes ~do_shrink
-      ~corpus () =
+  let fuzz ~proto_name ~n ~m ~attempts ~seconds ~seed ~max_states ~probes
+      ~do_shrink ~corpus =
     let report =
       F.run ~seed ~attempts ?time_budget:seconds ~max_states ~probes
-        ~fixed:(n, m) ~deterministic ?twin ~properties ~gen_inputs ()
+        ~fixed:(n, m) ~deterministic:X.deterministic ?twin:X.twin
+        ~properties:X.fuzz_properties ~gen_inputs:X.gen_inputs ()
     in
     Format.printf "%a@." F.pp_report report;
     match report.F.disagreement with
@@ -820,7 +562,7 @@ module Fz (P : Protocol.PROTOCOL) = struct
         | Some (pname, b0) ->
           let b =
             if do_shrink then begin
-              match sprop ~properties ~inputs:b0.F.S.inputs pname with
+              match sprop ~inputs:b0.F.S.inputs pname with
               | Some sp -> (
                 match F.S.shrink sp b0 with
                 | b, stats ->
@@ -842,25 +584,24 @@ module Fz (P : Protocol.PROTOCOL) = struct
               Filename.concat dir
                 (str "%s-%s-seed%d.fuzz" proto_name pname seed)
             in
-            write_bundle ~proto_name ~pname ~input_to_string ~path b);
+            write_bundle ~proto_name ~pname ~path b);
         Format.printf "RESULT: violations found.@.";
         Ok 1
       end
 
-  let shrink_file ~proto_name ~properties ~input_of_string ~input_to_string
-      ~(raw : Check.Shrink.raw) ~replay_only ~out ~show_trace ~max_rounds path
-      =
-    let b = F.S.of_raw ~input_of_string raw in
-    match sprop ~properties ~inputs:b.F.S.inputs raw.Check.Shrink.property with
+  let shrink_file ~(raw : Check.Shrink.raw) ~replay_only ~out ~show_trace
+      ~max_rounds path =
+    let b = F.S.of_raw ~input_of_string:X.input_of_string raw in
+    match sprop ~inputs:b.F.S.inputs raw.Check.Shrink.property with
     | None ->
       Format.eprintf "coordctl: unknown property %S for protocol %s@."
-        raw.Check.Shrink.property proto_name;
+        raw.Check.Shrink.property raw.Check.Shrink.protocol;
       Ok 2
     | Some sp ->
       let hit, trace = F.S.replay sp b in
       if show_trace then
         Format.printf "%a@."
-          (Trace.pp ~pp_value:P.Value.pp ~pp_output:P.pp_output)
+          (Trace.pp ~pp_value:X.P.Value.pp ~pp_output:X.P.pp_output)
           trace;
       if replay_only then begin
         Format.printf "replayed %d step(s): violation %s@."
@@ -878,218 +619,14 @@ module Fz (P : Protocol.PROTOCOL) = struct
         let b', stats = F.S.shrink ?max_rounds sp b in
         Format.printf "%a@." F.S.pp_stats stats;
         let out = Option.value out ~default:(path ^ ".min") in
-        write_bundle ~proto_name ~pname:raw.Check.Shrink.property
-          ~input_to_string ~path:out b';
+        write_bundle ~proto_name:raw.Check.Shrink.protocol
+          ~pname:raw.Check.Shrink.property ~path:out b';
         Ok 0
       end
 end
 
-(* Known-good baseline twins: the same property code must call them clean;
-   a complaint is a checker bug (reported as a disagreement). *)
-
-let peterson_twin : Check.Gen.params -> unit array -> string option =
-  let verdict =
-    lazy
-      (let module FB = Check.Fuzz.Make (Baseline.Peterson.P) in
-       let cfg : FB.E.config =
-         {
-           ids = [| 1; 2 |];
-           inputs = [| (); () |];
-           namings = Array.init 2 (fun _ -> Naming.identity 3);
-         }
-       in
-       let g = FB.E.explore cfg in
-       let flat = FB.E.to_flat g in
-       if not g.FB.E.complete then None
-       else if FB.mutex_me.FB.check g flat <> None then
-         Some "checker claims Peterson violates mutual exclusion"
-       else if FB.mutex_df.FB.check g flat <> None then
-         Some "checker claims Peterson violates deadlock freedom"
-       else None)
-  in
-  fun _ _ -> Lazy.force verdict
-
-let ca_consensus_twin : Check.Gen.params -> int array -> string option =
-  let memo = Hashtbl.create 8 in
-  fun pars inputs ->
-    let n = pars.Check.Gen.n in
-    let key = (n, Array.to_list inputs) in
-    match Hashtbl.find_opt memo key with
-    | Some r -> r
-    | None ->
-      let r =
-        let module FB = Check.Fuzz.Make (Baseline.Ca_consensus.P) in
-        let m = Baseline.Ca_consensus.P.registers_for ~n ~rounds:2 in
-        let cfg : FB.E.config =
-          {
-            ids = Array.init n (fun i -> i + 1);
-            inputs;
-            namings = Array.init n (fun _ -> Naming.identity m);
-          }
-        in
-        let g = FB.E.explore ~max_states:50_000 cfg in
-        let flat = FB.E.to_flat g in
-        let agree = FB.agreement ~equal:Int.equal in
-        let valid =
-          FB.validity ~allowed:(fun ins v -> Array.exists (( = ) v) ins)
-        in
-        if not g.FB.E.complete then None (* budget: inconclusive, not a bug *)
-        else if agree.FB.check g flat <> None then
-          Some "checker claims CA consensus violates agreement"
-        else if valid.FB.check g flat <> None then
-          Some "checker claims CA consensus violates validity"
-        else None
-      in
-      Hashtbl.add memo key r;
-      r
-
-let chain_renaming_twin : Check.Gen.params -> unit array -> string option =
-  let memo = Hashtbl.create 4 in
-  fun pars _inputs ->
-    let n = pars.Check.Gen.n in
-    match Hashtbl.find_opt memo n with
-    | Some r -> r
-    | None ->
-      let r =
-        let module FB = Check.Fuzz.Make (Baseline.Chain_renaming.P) in
-        let m = (n - 1) * ((2 * n) - 1) in
-        let cfg : FB.E.config =
-          {
-            ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-            inputs = Array.make n ();
-            namings = Array.init n (fun _ -> Naming.identity m);
-          }
-        in
-        let g = FB.E.explore ~max_states:50_000 cfg in
-        let flat = FB.E.to_flat g in
-        let uniq = FB.distinct_outputs ~equal:Int.equal in
-        if not g.FB.E.complete then None
-        else if uniq.FB.check g flat <> None then
-          Some "checker claims chain renaming violates uniqueness"
-        else None
-      in
-      Hashtbl.add memo n r;
-      r
-
-(* Per-protocol fuzz property suites. Election's leader-participates and
-   ccp's same-register need instance data (the ids, the namings) on both
-   the graph and the runtime side, so they are built here rather than in
-   Check.Fuzz. *)
-
-module Fuzz_mutex = Fz (Coord.Amutex.P)
-module Fuzz_cmp_mutex = Fz (Coord.Cmp_mutex.P)
-module Fuzz_consensus = Fz (Coord.Consensus.P)
-module Fuzz_election = Fz (Coord.Election.P)
-module Fuzz_renaming = Fz (Coord.Renaming.P)
-module Fuzz_ccp = Fz (Coord.Ccp.P)
-
-let mutex_properties = [ Fuzz_mutex.F.mutex_me; Fuzz_mutex.F.mutex_df ]
-
-let cmp_mutex_properties =
-  [ Fuzz_cmp_mutex.F.mutex_me; Fuzz_cmp_mutex.F.mutex_df ]
-
-let consensus_properties =
-  [
-    Fuzz_consensus.F.agreement ~equal:Int.equal;
-    Fuzz_consensus.F.validity ~allowed:(fun inputs v ->
-        Array.exists (( = ) v) inputs);
-  ]
-
-let election_properties =
-  let module D = Fuzz_election in
-  [
-    { (D.F.agreement ~equal:Int.equal) with D.F.name = "one-leader" };
-    {
-      D.F.name = "leader-participates";
-      check =
-        (fun g _ ->
-          Option.map
-            (fun (d : int Check.Props.decided) ->
-              D.F.State d.Check.Props.state)
-            (Check.Props.validity
-               ~allowed:(fun v -> Array.exists (( = ) v) g.D.F.E.cfg.ids)
-               ~statuses:D.F.E.statuses g.D.F.E.states));
-      rt_check =
-        Some
-          (fun _ rt ->
-            let ds = D.F.S.R.decisions rt in
-            let ids =
-              Array.init (Array.length ds) (fun i -> D.F.S.R.id_of rt i)
-            in
-            Array.exists
-              (function
-                | Some v -> not (Array.exists (( = ) v) ids)
-                | None -> false)
-              ds);
-    };
-  ]
-
-let renaming_properties =
-  let module D = Fuzz_renaming in
-  [
-    {
-      (D.F.distinct_outputs ~equal:Int.equal) with
-      D.F.name = "uniqueness";
-    };
-  ]
-
-(* ccp decides a local register index; correctness is that all decisions
-   resolve to the same physical register through each process's naming. *)
-let ccp_properties =
-  let module D = Fuzz_ccp in
-  [
-    {
-      D.F.name = "same-register";
-      check =
-        (fun g _ ->
-          let bad = ref None in
-          Array.iteri
-            (fun si st ->
-              if !bad = None then begin
-                let phys =
-                  List.filter_map Fun.id
-                    (Array.to_list
-                       (Array.mapi
-                          (fun p status ->
-                            match status with
-                            | Protocol.Decided loc ->
-                              Some (Naming.apply g.D.F.E.cfg.namings.(p) loc)
-                            | _ -> None)
-                          (D.F.E.statuses st)))
-                in
-                match phys with
-                | a :: rest when List.exists (( <> ) a) rest ->
-                  bad := Some (D.F.State si)
-                | _ -> ()
-              end)
-            g.D.F.E.states;
-          !bad);
-      rt_check =
-        Some
-          (fun _ rt ->
-            let n = D.F.S.R.n rt in
-            let phys =
-              List.filter_map
-                (fun i ->
-                  match D.F.S.R.status rt i with
-                  | Protocol.Decided loc ->
-                    Some (Naming.apply (D.F.S.R.naming_of rt i) loc)
-                  | _ -> None)
-                (List.init n Fun.id)
-            in
-            match phys with
-            | a :: rest -> List.exists (( <> ) a) rest
-            | [] -> false);
-    };
-  ]
-
-let consensus_gen_inputs rng ~n =
-  Array.init n (fun _ -> 100 * (1 + Rng.int rng n))
-
-let unit_inputs _rng ~n = Array.make n ()
-
-let fuzz (proto : Spec.proto) n m attempts seconds seed max_states probes
-    do_shrink corpus deadline =
+let fuzz proto n m attempts seconds seed max_states probes do_shrink corpus
+    deadline =
   (* --deadline is the cross-command wall-clock bound; for fuzz it maps
      onto the existing per-campaign seconds budget (tighter of the two) *)
   let seconds =
@@ -1098,49 +635,10 @@ let fuzz (proto : Spec.proto) n m attempts seconds seed max_states probes
     | None, d -> d
     | s, None -> s
   in
-  let common d = (d ~n ~m ~attempts ~seconds ~seed ~max_states ~probes
-                    ~do_shrink ~corpus) () in
-  match proto with
-  | Mutex ->
-    common
-      (Fuzz_mutex.fuzz ~proto_name:"mutex" ~properties:mutex_properties
-         ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ~twin:peterson_twin)
-  | Cmp_mutex ->
-    common
-      (Fuzz_cmp_mutex.fuzz ~proto_name:"cmp-mutex"
-         ~properties:cmp_mutex_properties ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ?twin:None)
-  | Consensus ->
-    common
-      (Fuzz_consensus.fuzz ~proto_name:"consensus"
-         ~properties:consensus_properties ~gen_inputs:consensus_gen_inputs
-         ~input_to_string:string_of_int ~deterministic:true
-         ~twin:ca_consensus_twin)
-  | Election ->
-    common
-      (Fuzz_election.fuzz ~proto_name:"election"
-         ~properties:election_properties ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ?twin:None)
-  | Renaming ->
-    common
-      (Fuzz_renaming.fuzz ~proto_name:"renaming"
-         ~properties:renaming_properties ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ~twin:chain_renaming_twin)
-  | Ccp ->
-    common
-      (Fuzz_ccp.fuzz ~proto_name:"ccp" ~properties:ccp_properties
-         ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:false ?twin:None)
-
-let unit_of_string = function
-  | "-" -> ()
-  | s -> failwith (str "expected unit input \"-\", got %S" s)
+  let module X = (val Protocols.find proto) in
+  let module Z = Fz (X) in
+  Z.fuzz ~proto_name:(Spec.proto_to_string proto) ~n ~m ~attempts ~seconds
+    ~seed ~max_states ~probes ~do_shrink ~corpus
 
 let shrink path replay_only out show_trace max_rounds =
   match Check.Shrink.read_raw path with
@@ -1148,134 +646,38 @@ let shrink path replay_only out show_trace max_rounds =
     Format.eprintf "coordctl: %s@." msg;
     Ok 2
   | Ok raw -> (
-    let common d =
-      d ~raw ~replay_only ~out ~show_trace ~max_rounds path
-    in
-    match raw.Check.Shrink.protocol with
-    | "mutex" ->
-      common
-        (Fuzz_mutex.shrink_file ~proto_name:"mutex"
-           ~properties:mutex_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "cmp-mutex" ->
-      common
-        (Fuzz_cmp_mutex.shrink_file ~proto_name:"cmp-mutex"
-           ~properties:cmp_mutex_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "consensus" ->
-      common
-        (Fuzz_consensus.shrink_file ~proto_name:"consensus"
-           ~properties:consensus_properties ~input_of_string:int_of_string
-           ~input_to_string:string_of_int)
-    | "election" ->
-      common
-        (Fuzz_election.shrink_file ~proto_name:"election"
-           ~properties:election_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "renaming" ->
-      common
-        (Fuzz_renaming.shrink_file ~proto_name:"renaming"
-           ~properties:renaming_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "ccp" ->
-      common
-        (Fuzz_ccp.shrink_file ~proto_name:"ccp" ~properties:ccp_properties
-           ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | p ->
-      Format.eprintf "coordctl: unknown protocol %S in %s@." p path;
-      Ok 2)
+    match Spec.proto_of_string raw.Check.Shrink.protocol with
+    | Error _ ->
+      Format.eprintf "coordctl: unknown protocol %S in %s@."
+        raw.Check.Shrink.protocol path;
+      Ok 2
+    | Ok proto ->
+      let module X = (val Protocols.find proto) in
+      let module Z = Fz (X) in
+      Z.shrink_file ~raw ~replay_only ~out ~show_trace ~max_rounds path)
 
 (* ------------------------------------------------------------------ *)
 (* graph export                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let graph (proto : Spec.proto) n m output =
-  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
-  let write_dot flat =
-    let oc = open_out output in
-    let ppf = Format.formatter_of_out_channel oc in
-    Check.Dot.of_flat flat ppf ();
-    Format.pp_print_flush ppf ();
-    close_out oc;
-    Format.printf "wrote %s@." output
+let graph proto n m output =
+  let m = default_m proto ~n m in
+  let module X = (val Protocols.find proto) in
+  let module E = Check.Explore.Make (X.P) in
+  let g =
+    E.explore
+      {
+        ids = Protocols.ids ~n;
+        inputs = X.inputs ~n;
+        namings = Array.init n (fun k -> Naming.rotation m k);
+      }
   in
-  let flat_of (type g) ~(explore : unit -> g) ~(to_flat : g -> Check.Flatgraph.t) =
-    to_flat (explore ())
-  in
-  (match proto with
-  | Mutex ->
-    let module C = Chk (Coord.Amutex.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Cmp_mutex ->
-    let module C = Chk (Coord.Cmp_mutex.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Consensus ->
-    let module C = Chk (Coord.Consensus.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.init n (fun i -> (i + 1) * 100);
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Election ->
-    let module C = Chk (Coord.Election.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Renaming ->
-    let module C = Chk (Coord.Renaming.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Ccp ->
-    let module C = Chk (Coord.Ccp.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat));
+  let oc = open_out output in
+  let ppf = Format.formatter_of_out_channel oc in
+  Check.Dot.of_flat (E.to_flat g) ppf ();
+  Format.pp_print_flush ppf ();
+  close_out oc;
+  Format.printf "wrote %s@." output;
   Ok 0
 
 (* ------------------------------------------------------------------ *)
@@ -1311,7 +713,7 @@ module Xpl (P : Protocol.PROTOCOL) = struct
 
   let config ~n ~m ~rot ~(inputs : P.input array) : E.config =
     {
-      ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
+      ids = Protocols.ids ~n;
       inputs;
       namings =
         Array.init n (fun k ->
@@ -1321,12 +723,6 @@ module Xpl (P : Protocol.PROTOCOL) = struct
   let explore ~n ~m ~rot ~inputs ~reduction ~par ~domains ~max_states ~depths
       ~snapshot_to ~snapshot_every ~resume_from ~deadline_s ~salvage
       ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
-    if reduction = Check.Explore.Canon && E.canon_degraded ~n then
-      Format.printf
-        "note: --canon degraded to the identity group (%s): exploring the \
-         full graph, reduction factor 1.0.@."
-        (if not P.symmetric then P.name ^ " is not a symmetric protocol"
-         else str "n = %d exceeds the group-enumeration bound 7" n);
     let cfg = config ~n ~m ~rot ~inputs in
     if disk_visited <> None && par then
       failwith
@@ -1392,85 +788,40 @@ module Xpl (P : Protocol.PROTOCOL) = struct
         (if full.Check.Checker_stats.complete then "" else " (full truncated)")
 end
 
-let explore (proto : Spec.proto) n m rot par domains canon no_canon max_states
-    depths snapshot_to snapshot_every resume_from deadline_s salvage inject
+let explore proto n m rot par domains canon no_canon max_states depths
+    snapshot_to snapshot_every resume_from deadline_s salvage inject
     disk_faults disk_quota disk_visited disk_hot_cap =
   let reduction = reduction_of_flags ~canon ~no_canon in
-  (* --inject-faults on explore mirrors `check`: the plan is printed for
-     replay, a private checkpoint file is synthesized when none was given
-     (recovery needs somewhere to resume from), and the run is wrapped in
-     with_recovery. --disk-faults widens the plan pool with storage
-     faults (DESIGN.md §14). *)
+  let m = default_m proto ~n m in
+  let entry = Protocols.find proto in
+  let module X = (val entry) in
+  let module Y = Xpl (X.P) in
+  (* --inject-faults on explore mirrors `check`: --disk-faults widens the
+     plan pool with storage faults (DESIGN.md §14) *)
+  with_faults ?domains ~disk:disk_faults inject @@ fun private_dir ->
+  canon_note entry ~n reduction;
+  let faults = inject <> None in
   let snapshot_to =
-    match (inject, snapshot_to) with
-    | Some _, None ->
-      Some
-        (Filename.concat
-           (Filename.get_temp_dir_name ())
-           (str "coordctl-inject-%d.snap" (Unix.getpid ())))
+    match (snapshot_to, private_dir) with
+    | None, Some dir -> Some (Filename.concat dir (str "%s.snap" X.P.name))
     | _ -> snapshot_to
   in
-  let snapshot_every =
-    if inject <> None && snapshot_every = None then Some 1 else snapshot_every
-  in
-  (match inject with
-  | Some seed ->
-    let plan = Resilience.plan_of_seed ?domains ~disk:disk_faults seed in
-    Resilience.arm plan;
-    Format.printf "fault plan: %a@." Resilience.pp_plan plan
-  | None -> ());
-  let salvage = salvage || inject <> None in
-  let recover = inject <> None in
-  let m = match m with Some m -> m | None -> Spec.default_m proto ~n in
   let body () =
     match
-      match proto with
-    | Mutex ->
-      let module X = Xpl (Coord.Amutex.P) in
-      X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
-        ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
-        ~disk_quota ~recover
-    | Cmp_mutex ->
-      let module X = Xpl (Coord.Cmp_mutex.P) in
-      X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
-        ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
-        ~disk_quota ~recover
-    | Consensus ->
-      let module X = Xpl (Coord.Consensus.P) in
-      (* equal inputs keep the configuration symmetric; `check` still sweeps
-         distinct inputs *)
-      X.explore ~n ~m ~rot ~inputs:(Array.make n 42) ~reduction ~par ~domains
-        ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
-        ~disk_quota ~recover
-    | Election ->
-      let module X = Xpl (Coord.Election.P) in
-      X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
-        ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
-        ~disk_quota ~recover
-    | Renaming ->
-      let module X = Xpl (Coord.Renaming.P) in
-      X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
-        ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
-        ~disk_quota ~recover
-    | Ccp ->
-      let module X = Xpl (Coord.Ccp.P) in
-      X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
-        ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
-        ~disk_quota ~recover
-  with
-  | exception Check.Snapshot.Error e ->
-    Format.eprintf "coordctl: snapshot rejected: %s@."
-      (Check.Snapshot.error_message e);
-    Ok 4
-  | st ->
-    if st.Check.Checker_stats.stop = Check.Checker_stats.Deadline then Ok 6
-    else Ok 0
+      Y.explore ~n ~m ~rot ~inputs:(X.explore_inputs ~n) ~reduction ~par
+        ~domains ~max_states ~depths ~snapshot_to
+        ~snapshot_every:
+          (if faults && snapshot_every = None then Some 1 else snapshot_every)
+        ~resume_from ~deadline_s ~salvage:(salvage || faults) ~disk_visited
+        ~disk_hot_cap ~disk_quota ~recover:faults
+    with
+    | exception Check.Snapshot.Error e ->
+      Format.eprintf "coordctl: snapshot rejected: %s@."
+        (Check.Snapshot.error_message e);
+      Ok 4
+    | st ->
+      if st.Check.Checker_stats.stop = Check.Checker_stats.Deadline then Ok 6
+      else Ok 0
   in
   if snapshot_to <> None then Check.Snapshot.with_signal_handlers body
   else body ()
@@ -1482,20 +833,20 @@ let bench n canon no_canon max_states =
     else (ignore canon; Check.Explore.Canon)
   in
   let max_states = Some (Option.value max_states ~default:500_000) in
-  (let module X = Xpl (Coord.Amutex.P) in
-   X.bench_line ~label:"amutex m=3" ~n ~m:3 ~rot:false
-     ~inputs:(Array.make n ()) ~reduction ~max_states;
-   X.bench_line ~label:"amutex m=5" ~n ~m:5 ~rot:false
-     ~inputs:(Array.make n ()) ~reduction ~max_states);
-  (let module X = Xpl (Coord.Consensus.P) in
-   X.bench_line ~label:"consensus m=3" ~n ~m:3 ~rot:false
-     ~inputs:(Array.make n 42) ~reduction ~max_states);
-  (let module X = Xpl (Coord.Renaming.P) in
-   X.bench_line ~label:"renaming m=3" ~n ~m:3 ~rot:false
-     ~inputs:(Array.make n ()) ~reduction ~max_states);
-  (let module X = Xpl (Coord.Ccp.P) in
-   X.bench_line ~label:"ccp m=2" ~n ~m:2 ~rot:false ~inputs:(Array.make n ())
-     ~reduction ~max_states);
+  List.iter
+    (fun (label, proto, m) ->
+      let module X = (val Protocols.find proto) in
+      let module Y = Xpl (X.P) in
+      Y.bench_line ~label ~n ~m ~rot:false ~inputs:(X.explore_inputs ~n)
+        ~reduction ~max_states)
+    Spec.
+      [
+        ("amutex m=3", Mutex, 3);
+        ("amutex m=5", Mutex, 5);
+        ("consensus m=3", Consensus, 3);
+        ("renaming m=3", Renaming, 3);
+        ("ccp m=2", Ccp, 2);
+      ];
   Format.printf
     "(quick in-process sweep; `make bench-checker` records the full \
      reduced-vs-full and par-vs-seq matrix into BENCH_checker.json)@.";
@@ -1597,10 +948,13 @@ let snapshot_dir_arg =
     & opt (some string) None
     & info [ "snapshot-dir" ] ~docv:"DIR"
         ~doc:
-          "Checkpoint each exploration into \
-           $(i,DIR)/<proto>-nN-mM-IDX.snap (created if missing). A \
-           snapshot is also flushed on SIGINT/SIGTERM and when the state \
-           budget truncates the search, so the run can be continued with \
+          "Checkpoint the configuration in progress into \
+           $(i,DIR)/<protocol>-nN-mM.snap (created if missing): one file \
+           per command, replaced when the sweep moves to the next \
+           configuration. A snapshot is also flushed on SIGINT/SIGTERM, \
+           on an expired $(b,--deadline) and when the state budget \
+           truncates the search; the file of the configuration the \
+           command stopped on is kept, so the run can be continued with \
            $(b,--resume).")
 
 let snapshot_every_arg =
@@ -1631,11 +985,12 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline" ] ~docv:"S"
         ~doc:
-          "Wall-clock budget: after $(i,S) seconds the explorer stops \
-           gracefully at the next generation boundary, flushes a snapshot \
-           (when snapshotting is on) and the command exits with status 6, \
-           so a scheduled run never overruns its slot. Continue with \
-           $(b,--resume).")
+          "Wall-clock budget of the whole command: after $(i,S) seconds \
+           the exploration in progress stops gracefully at the next \
+           generation boundary, flushes a snapshot (when snapshotting is \
+           on), the configurations not yet reached are skipped, and the \
+           command exits with status 6, so a scheduled run never overruns \
+           its slot. Continue with $(b,--resume).")
 
 let salvage_arg =
   Arg.(
@@ -1659,9 +1014,10 @@ let inject_arg =
            $(b,--par), a killed or stalled worker's chunks are mapped \
            again and dead workers respawn. Implies $(b,--salvage) and \
            crash-recovery — explorations retry from the newest \
-           salvageable snapshot, and a private snapshot dir is \
-           synthesized when $(b,--snapshot-dir) is absent. The plan is printed so the whole campaign replays \
-           from the seed.")
+           salvageable snapshot, and a private snapshot dir in the temp \
+           dir, removed when the command ends, is used when \
+           $(b,--snapshot-dir) is absent. The plan is printed so the whole \
+           campaign replays from the seed.")
 
 let check_exits =
   Cmd.Exit.info 0 ~doc:"all checked properties hold (complete exploration)."
@@ -1687,8 +1043,23 @@ let check_exits =
 
 let check_cmd =
   let doc = "exhaustively model-check a protocol instance" in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Explores every naming assignment of the instance (all m! relative \
+         namings for n = 2 and m <= 5, else the rotation tuple) with the \
+         job loop $(b,coordctl serve) runs, and prints one line per \
+         assignment: its namings, its state count, $(i,truncated) if the \
+         exploration was cut, and the verdicts of the protocol's judged \
+         properties — the line a served check job stores in its \
+         $(i,detail). Mutex protocols are judged on mutual exclusion and \
+         deadlock freedom; $(b,coordctl tables -e E12) has the exact \
+         starvation-freedom verdicts.";
+    ]
+  in
   Cmd.v
-    (Cmd.info "check" ~doc ~exits:check_exits)
+    (Cmd.info "check" ~doc ~man ~exits:check_exits)
     Term.(
       term_result
         (const check $ proto_arg $ n_arg $ m_arg $ par_arg $ domains_arg

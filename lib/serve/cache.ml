@@ -66,8 +66,10 @@ let collisions t = locked t (fun () -> t.collisions)
    whose fingerprint names the payload layout. Entries embed
    [Checker_stats.t], so bump [format] whenever [entry] or
    [Checker_stats.t] changes: a file of another layout is then refused
-   instead of decoding into shifted fields. *)
-let format = "coordctl verdict cache v2"
+   instead of decoding into shifted fields. Bump it too when what an
+   entry means changes: v3 check details carry the namings, and v3 fuzz
+   verdicts come from campaigns with the baseline twins. *)
+let format = "coordctl verdict cache v3"
 let fingerprint = Digest.string format
 
 let save t ~path =

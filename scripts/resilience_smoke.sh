@@ -8,10 +8,14 @@
 #          stalls, torn snapshot writes, an allocation failure) must not
 #          hang, must reach the oracle's verdict and state counts via
 #          supervision / salvage / recovery, and must exit 0;
-#   leg 3  --deadline 0 stops gracefully at a generation boundary with
-#          exit 6 and a snapshot a later run resumes to the oracle;
+#   leg 3  --deadline 0 stops the whole command gracefully at a
+#          generation boundary of its first configuration (exit 6, one
+#          configuration line) with a snapshot a later run resumes to
+#          the oracle;
 #   leg 4  a snapshot with a torn tail is rejected by a strict resume
-#          (exit 4) and salvaged by --salvage (exit 0, oracle graph).
+#          (exit 4) and salvaged by --salvage (exit 0, oracle graph);
+#   leg 5  the checkpoint location --inject-faults makes in TMPDIR for
+#          check and explore is gone when the command ends.
 #
 # The whole campaign is replayable from its printed seed:
 #   RESILIENCE_SEED=N scripts/resilience_smoke.sh        (default 7)
@@ -66,6 +70,9 @@ grep -v '^fault plan:' "$tmp/fault_par.txt" \
 "$COORD" check mutex -m 3 --deadline 0 --snapshot-dir "$tmp/ddl" \
   >"$tmp/ddl.txt" 2>&1 && rc=0 || rc=$?
 [ "$rc" -eq 6 ] || fail "expired deadline exited $rc (want 6)"
+lines=$(grep -c '^namings ' "$tmp/ddl.txt" || true)
+[ "$lines" -eq 1 ] \
+  || fail "expired deadline printed $lines configuration lines (want 1: it bounds the command)"
 snap=$(ls "$tmp"/ddl/*.snap 2>/dev/null | head -n 1)
 [ -n "$snap" ] || fail "no snapshot flushed on deadline stop"
 "$COORD" check mutex -m 3 --resume "$snap" >"$tmp/ddl_resumed.txt" 2>&1 \
@@ -96,5 +103,15 @@ grep -v '^throughput' "$tmp/oracle_x.txt" >"$tmp/oracle_x.flat"
 grep -v '^throughput' "$tmp/salvaged.txt" >"$tmp/salvaged.flat"
 diff -u "$tmp/oracle_x.flat" "$tmp/salvaged.flat" >&2 \
   || fail "salvaged resume differs from the uninterrupted oracle"
+
+# --- leg 5: --inject-faults leaves nothing in TMPDIR --------------------
+
+mkdir "$tmp/inject_tmp"
+TMPDIR="$tmp/inject_tmp" "$COORD" check mutex -m 3 --inject-faults "$SEED" \
+  >/dev/null 2>&1 || fail "check --inject-faults exited $?"
+TMPDIR="$tmp/inject_tmp" "$COORD" explore mutex -m 3 --inject-faults "$SEED" \
+  >/dev/null 2>&1 || fail "explore --inject-faults exited $?"
+left=$(ls -A "$tmp/inject_tmp")
+[ -z "$left" ] || fail "--inject-faults left behind in TMPDIR: $left"
 
 echo "resilience_smoke: OK (seed $SEED)"

@@ -5,12 +5,16 @@
 #   leg A  start `coordctl serve` on a fresh spool with a deliberately
 #          small preemption quantum, submit a mutex check that needs
 #          several slices, and require the verdict to agree with a
-#          direct `coordctl check` invocation (exit code and all);
+#          direct `coordctl check` invocation: the exit code, and the
+#          served detail line for line with the CLI's per-configuration
+#          lines (both come from the one runner loop);
 #   leg B  re-submit the identical spec and require it answered from the
 #          verdict cache: zero freshly explored states, one slice;
 #   leg C  a known-violation spec (even m) must report exit 1, again
-#          agreeing with the direct CLI; a malformed spec must produce
-#          an .error file, not a wedged daemon;
+#          agreeing with the direct CLI line for line; a fuzz job must
+#          exit as `coordctl fuzz` does on the same instance; a
+#          malformed spec must produce an .error file, not a wedged
+#          daemon;
 #   leg D  clean shutdown via the spool's shutdown file; then a sweep of
 #          examples/tiny.sweep must pass its regression gates.
 #
@@ -62,6 +66,17 @@ field() {
   sed -n "s/^$2 *= *//p" "$spool/done/$1.result" | head -n 1
 }
 
+# same_lines NAME CLI_OUTPUT: the served detail, one configuration per
+# line, must equal the CLI's per-configuration lines
+same_lines() {
+  field "$1" detail | sed -e 's/; /\n/g' | sed -e 's/ \[cached\]$//' \
+    >"$tmp/$1.served"
+  grep '^namings ' "$2" >"$tmp/$1.cli" || true
+  [ -s "$tmp/$1.cli" ] || fail "direct check printed no configuration lines"
+  diff -u "$tmp/$1.cli" "$tmp/$1.served" >&2 \
+    || fail "served detail of $1 differs from the direct check's lines"
+}
+
 # --- leg A: preempted check agrees with the direct CLI ------------------
 
 "$COORD" serve "$spool" --workers 1 --quantum 2000 --poll 0.02 \
@@ -74,10 +89,12 @@ m = 3'
 wait_result preempted
 [ -f "$spool/done/preempted.result" ] || fail "preempted job errored"
 
-"$COORD" check mutex -m 3 >/dev/null 2>&1 && direct_rc=0 || direct_rc=$?
+"$COORD" check mutex -m 3 >"$tmp/direct_m3.txt" 2>&1 \
+  && direct_rc=0 || direct_rc=$?
 served_rc=$(field preempted exit)
 [ "$served_rc" = "$direct_rc" ] \
   || fail "served exit $served_rc != direct check exit $direct_rc"
+same_lines preempted "$tmp/direct_m3.txt"
 [ "$(field preempted verdict)" = "pass" ] \
   || fail "preempted job verdict $(field preempted verdict) (want pass)"
 slices=$(field preempted slices)
@@ -104,15 +121,29 @@ submit evenm 'kind = check
 proto = mutex
 m = 4
 max_states = 200000'
+submit fuzz 'kind = fuzz
+proto = mutex
+m = 4
+attempts = 5
+seed = 7'
 submit garbage 'kind = check'
 wait_result evenm
+wait_result fuzz
 wait_result garbage
 
-"$COORD" check mutex -m 4 >/dev/null 2>&1 && direct_rc=0 || direct_rc=$?
+"$COORD" check mutex -m 4 --max-states 200000 >"$tmp/direct_m4.txt" 2>&1 \
+  && direct_rc=0 || direct_rc=$?
 [ "$(field evenm exit)" = "$direct_rc" ] \
   || fail "even-m served exit $(field evenm exit) != direct $direct_rc"
 [ "$(field evenm verdict)" = "violation" ] \
   || fail "even-m verdict $(field evenm verdict) (want violation)"
+same_lines evenm "$tmp/direct_m4.txt"
+
+"$COORD" fuzz mutex -n 2 -m 4 --attempts 5 --seed 7 >/dev/null 2>&1 \
+  && direct_rc=0 || direct_rc=$?
+[ -f "$spool/done/fuzz.result" ] || fail "fuzz job errored"
+[ "$(field fuzz exit)" = "$direct_rc" ] \
+  || fail "served fuzz exit $(field fuzz exit) != direct fuzz exit $direct_rc"
 [ -f "$spool/done/garbage.error" ] \
   || fail "malformed spec did not produce an .error file"
 

@@ -168,6 +168,15 @@ let test_cache_save_load () =
        []);
   Alcotest.(check int) "raw Marshal file -> empty cache" 0
     (Serve.Cache.length (Serve.Cache.load ~path));
+  (* a file of the previous layout (v2: check details without namings,
+     fuzz verdicts from campaigns without twins) is discarded whole *)
+  let v2 = "coordctl verdict cache v2" in
+  Check.Snapshot.write ~path ~fingerprint:(Digest.string v2) ~descr:v2
+    (Marshal.to_string
+       ([ (key, [ entry "id1" ]) ] : (string * Serve.Cache.entry list) list)
+       []);
+  Alcotest.(check int) "v2 layout -> empty cache" 0
+    (Serve.Cache.length (Serve.Cache.load ~path));
   (* one flipped payload byte fails the CRC *)
   Serve.Cache.save c ~path;
   let ic = open_in_bin path in
@@ -292,6 +301,40 @@ let test_repeat_served_from_cache () =
   Alcotest.(check int) "different config misses the cache" 0
     oc_.Serve.Runner.cached_configs
 
+(* ------------- every protocol x job kind runs to a verdict ------------ *)
+
+(* The protocol table is the only per-protocol wiring: every protocol must
+   resolve for every job kind, unsliced (as [coordctl check] runs it), and
+   a check must sweep all m! relative namings at n = 2. *)
+let test_every_protocol_and_kind () =
+  let rec fact k = if k <= 1 then 1 else k * fact (k - 1) in
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun kind ->
+          let spec =
+            Serve.Spec.make ~max_states:300 ~attempts:2 ~steps:200 kind proto
+          in
+          let name =
+            Serve.Spec.kind_to_string kind ^ " "
+            ^ Serve.Spec.proto_to_string proto
+          in
+          match Serve.Runner.run_slice spec Serve.Runner.start with
+          | Serve.Runner.Yield _ -> Alcotest.fail (name ^ ": unsliced job yielded")
+          | Serve.Runner.Done { Serve.Runner.verdict = Serve.Runner.Failed e; _ }
+            ->
+            Alcotest.fail (name ^ ": failed: " ^ e)
+          | Serve.Runner.Done o ->
+            if kind = Serve.Spec.Check then begin
+              Alcotest.(check int) (name ^ ": m! configurations")
+                (fact spec.Serve.Spec.m) o.Serve.Runner.configs;
+              Alcotest.(check int) (name ^ ": one detail line each")
+                o.Serve.Runner.configs
+                (List.length (String.split_on_char ';' o.Serve.Runner.detail))
+            end)
+        Serve.Spec.[ Check; Fuzz; Hunt ])
+    Serve.Spec.[ Mutex; Cmp_mutex; Consensus; Election; Renaming; Ccp ]
+
 (* ------------------------ deadline and cancel ------------------------- *)
 
 let test_deadline_exit () =
@@ -310,7 +353,19 @@ let test_deadline_exit () =
   Serve.Pool.drain pool;
   let o2 = finished_outcome "generous deadline" pool id2 in
   Alcotest.(check bool) "pass under a generous deadline" true
-    (o2.Serve.Runner.verdict = Serve.Runner.Pass)
+    (o2.Serve.Runner.verdict = Serve.Runner.Pass);
+  (* unsliced, as `coordctl check` runs it: the deadline bounds the whole
+     job, which ends on its first configuration *)
+  match
+    Serve.Runner.run_slice ~deadline_left_s:0.0 (spec_check ())
+      Serve.Runner.start
+  with
+  | Serve.Runner.Yield _ -> Alcotest.fail "unsliced job yielded"
+  | Serve.Runner.Done o ->
+    Alcotest.(check bool) "unsliced deadline verdict" true
+      (o.Serve.Runner.verdict = Serve.Runner.Deadline);
+    Alcotest.(check int) "one configuration judged" 1
+      (List.length (String.split_on_char ';' o.Serve.Runner.detail))
 
 let test_cancel_paths () =
   let dir = tmp_dir "cancel" in
@@ -473,6 +528,8 @@ let suite =
       `Quick test_preempt_resume_bit_identity;
     Alcotest.test_case "repeat submission served from cache, 0 explored"
       `Quick test_repeat_served_from_cache;
+    Alcotest.test_case "every protocol x job kind runs to a verdict" `Quick
+      test_every_protocol_and_kind;
     Alcotest.test_case "deadline exit path (6)" `Quick test_deadline_exit;
     Alcotest.test_case "cancel exit paths" `Quick test_cancel_paths;
     Alcotest.test_case "crash mid-job salvaged to the fault-free result"
