@@ -187,7 +187,7 @@ module Sweep (P : Protocol.PROTOCOL) = struct
     let (gs, ss), (gp, sp) =
       time_seq_par
         (fun () -> E.explore_with_stats ?max_states cfg)
-        (fun () -> E.explore_par ~domains ?max_states cfg)
+        (fun () -> E.explore_with_stats ~domains ?max_states cfg)
     in
     if not (same gs gp) then
       failwith (str "%s: parallel explorer diverged from sequential" label);
@@ -247,7 +247,7 @@ module Sweep (P : Protocol.PROTOCOL) = struct
           let (gs, ss), (gp, sp) =
             time_seq_par
               (fun () -> E.explore_with_stats ?max_states cfg)
-              (fun () -> E.explore_par ~domains:d ?max_states cfg)
+              (fun () -> E.explore_with_stats ~domains:d ?max_states cfg)
           in
           check_accounting ~label ~which:"seq" ss;
           if not (same gs gp) then
@@ -339,7 +339,10 @@ module Sweep (P : Protocol.PROTOCOL) = struct
       time_best (fun () -> E.explore_with_stats ~reduction:Canon ?max_states cfg)
     in
     (* quotient parity across the parallel explorer before reporting *)
-    let gp, _ = E.explore_par ~domains ~reduction:Check.Explore.Canon ?max_states cfg in
+    let gp, _ =
+      E.explore_with_stats ~domains ~reduction:Check.Explore.Canon ?max_states
+        cfg
+    in
     if not (same gr gp && gr.orbits = gp.orbits) then
       failwith (str "%s: parallel quotient diverged from sequential" label);
     check_accounting ~label ~which:"full" sf;

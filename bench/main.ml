@@ -196,7 +196,7 @@ let explore_m3 () =
   assert (Array.length g.states > 2000)
 
 let explore_m3_par domains () =
-  let g, _ = EMutex.explore_par ~domains explore_m3_cfg in
+  let g, _ = EMutex.explore_with_stats ~domains explore_m3_cfg in
   assert (Array.length g.states > 2000)
 
 let ccp_full n seed0 =
@@ -322,7 +322,11 @@ let checker_stats () =
      ===@.@.";
   let _, seq = EMutex.explore_with_stats explore_m3_cfg in
   Format.printf "%a@.@." Check.Checker_stats.pp seq;
-  let _, par = EMutex.explore_par explore_m3_cfg in
+  let _, par =
+    EMutex.explore_with_stats
+      ~domains:(Domain.recommended_domain_count ())
+      explore_m3_cfg
+  in
   Format.printf "%a@.@." Check.Checker_stats.pp par
 
 let () =

@@ -171,10 +171,17 @@ let check proto n m par domains stats canon no_canon max_states snapshot_dir
         Filename.concat dir (str "%s-n%d-m%d.snap" X.P.name n m))
       (if snapshot_dir = None then private_dir else snapshot_dir)
   in
+  (* each configuration's line is printed as soon as it is judged *)
+  let checked = ref 0 in
+  let on_config line st =
+    if stats then Option.iter (Format.printf "%a@." Check.Checker_stats.pp) st;
+    Format.printf "%s@." line;
+    incr checked
+  in
   let run () =
     Serve.Runner.run_slice ?deadline_left_s:deadline
       ~salvage:(salvage || faults) ?domains ?snapshot_every ?resume
-      ~recover:faults ?snapshot spec Serve.Runner.start
+      ~recover:faults ?snapshot ~on_config spec Serve.Runner.start
   in
   (* scoped, not leaked: previous SIGINT/SIGTERM dispositions are
      restored when the check returns (or raises) *)
@@ -187,18 +194,7 @@ let check proto n m par domains stats canon no_canon max_states snapshot_dir
     Ok 4
   | Serve.Runner.Yield _ -> assert false (* no quantum: one slice *)
   | Serve.Runner.Done o ->
-    let lines =
-      List.map String.trim (String.split_on_char ';' o.Serve.Runner.detail)
-    in
-    List.iteri
-      (fun i line ->
-        if stats then
-          Option.iter
-            (Format.printf "%a@." Check.Checker_stats.pp)
-            (List.nth_opt o.Serve.Runner.stats i);
-        Format.printf "%s@." line)
-      lines;
-    Format.printf "%d naming assignment(s) checked.@." (List.length lines);
+    Format.printf "%d naming assignment(s) checked.@." !checked;
     if
       List.exists
         (fun st -> not st.Check.Checker_stats.complete)
@@ -736,14 +732,15 @@ module Xpl (P : Protocol.PROTOCOL) = struct
         E.explore_external ?max_states ?snapshot_every ?snapshot_to
           ?resume_from ?deadline_s ?hot_cap:disk_hot_cap
           ?disk_quota_bytes:disk_quota ~salvage ~reduction ~dir cfg
-      | None when par ->
-        snd
-          (E.explore_par ?max_states ?domains ?snapshot_every ?snapshot_to
-             ?resume_from ?deadline_s ~salvage ~reduction cfg)
       | None ->
+        let domains =
+          if not par then 1
+          else
+            Option.value domains ~default:(Domain.recommended_domain_count ())
+        in
         snd
-          (E.explore_with_stats ?max_states ?snapshot_every ?snapshot_to
-             ?resume_from ?deadline_s ~salvage ~reduction cfg)
+          (E.explore_with_stats ?max_states ~domains ?snapshot_every
+             ?snapshot_to ?resume_from ?deadline_s ~salvage ~reduction cfg)
     in
     let st =
       match (recover, snapshot_to) with

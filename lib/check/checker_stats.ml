@@ -33,7 +33,6 @@ type t = {
   max_frontier : int;
   candidates : int;
   dedup_hits : int;
-  shard_load : int array;
   elapsed_s : float;
   complete : bool;
   stop : stop_reason;
@@ -88,21 +87,12 @@ let equal_ignoring_time a b =
   in
   scrub a = scrub b
 
-let shard_imbalance t =
-  (* max over mean shard population: 1.0 is a perfect split *)
-  let n = Array.length t.shard_load in
-  if n = 0 || t.n_states = 0 then 1.
-  else
-    let mx = Array.fold_left max 0 t.shard_load in
-    float_of_int (mx * n) /. float_of_int t.n_states
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>checker: %s n=%d m=%d (%d domain%s)@,\
      states %d (%s), transitions %d, depth %d, peak frontier %d@,\
      throughput %.0f states/s (%.3f s)@,\
-     dedup: %d/%d candidate successors were duplicates (%.1f%% hit-rate)@,\
-     shard load: [%s] (imbalance %.2fx)"
+     dedup: %d/%d candidate successors were duplicates (%.1f%% hit-rate)"
     t.protocol t.n_procs t.n_registers t.domains
     (if t.domains = 1 then "" else "s")
     t.n_states
@@ -110,9 +100,7 @@ let pp ppf t =
      else "TRUNCATED: " ^ stop_reason_tag t.stop)
     t.n_transitions t.max_depth t.max_frontier (states_per_sec t) t.elapsed_s
     t.dedup_hits t.candidates
-    (100. *. dedup_rate t)
-    (String.concat "; " (Array.to_list (Array.map string_of_int t.shard_load)))
-    (shard_imbalance t);
+    (100. *. dedup_rate t);
   if t.canon then begin
     Format.fprintf ppf
       "@,symmetry: group order %d, orbit sum %d (%.2fx reduction), %d \
@@ -170,10 +158,6 @@ let to_json t =
   field "candidates" (string_of_int t.candidates);
   field "dedup_hits" (string_of_int t.dedup_hits);
   field "dedup_rate" (Printf.sprintf "%.4f" (dedup_rate t));
-  field "shard_load"
-    (Printf.sprintf "[%s]"
-       (String.concat ", "
-          (Array.to_list (Array.map string_of_int t.shard_load))));
   field "elapsed_s" (Printf.sprintf "%.6f" t.elapsed_s);
   field "states_per_sec" (Printf.sprintf "%.1f" (states_per_sec t));
   field "canon" (string_of_bool t.canon);

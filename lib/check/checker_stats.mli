@@ -1,10 +1,9 @@
 (** Observability for the model checker.
 
     Every exploration (sequential or frontier-parallel) can report what it
-    did: states per second, the frontier profile per BFS depth, how often
-    candidate successors deduplicated against already-known states, and how
-    evenly the state space spreads over structural-hash classes. The
-    record is plain data so benchmark harnesses can serialize it
+    did: states per second, the frontier profile per BFS depth, and how
+    often candidate successors deduplicated against already-known states.
+    The record is plain data so benchmark harnesses can serialize it
     (see {!to_json}) into BENCH_*.json entries. *)
 
 type depth_sample = {
@@ -49,9 +48,6 @@ type t = {
           generated successor. On a complete run
           [candidates = n_states + dedup_hits]. *)
   dedup_hits : int;  (** total candidates that were already known *)
-  shard_load : int array;
-      (** states per structural-hash class mod [domains]; [|n_states|]
-          when [domains = 1] *)
   elapsed_s : float;
   complete : bool;
   stop : stop_reason;  (** {!Completed} iff [complete] *)
@@ -105,9 +101,6 @@ val reduction_factor : t -> float
 (** [orbit_sum / n_states]: how many full-graph states each stored
     quotient state stands for. 1.0 when no symmetry reduction applied. *)
 
-val shard_imbalance : t -> float
-(** Largest shard over the ideal even split; 1.0 is perfectly balanced. *)
-
 val equal_ignoring_time : t -> t -> bool
 (** Structural equality of every field except [elapsed_s] (wall-clock can
     never reproduce), the cache-effectiveness counters [sig_pruned] and
@@ -118,8 +111,8 @@ val equal_ignoring_time : t -> t -> bool
     "bit-identical statistics"
     relation the checkpoint/resume tests assert: a truncated-then-resumed
     exploration must match an uninterrupted one on everything the clock
-    and the caches don't touch — counts, depth profile, shard loads,
-    orbit sums, cutover. *)
+    and the caches don't touch — counts, depth profile, orbit sums,
+    cutover. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human summary. *)

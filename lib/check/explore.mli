@@ -86,64 +86,15 @@ module Make (P : Protocol.PROTOCOL) : sig
       quotient silently coincides with the full graph. Surfaced in
       {!Checker_stats.t.degraded} and by [coordctl]'s [--canon] notice. *)
 
-  val explore :
-    ?max_states:int ->
-    ?reduction:reduction ->
-    ?snapshot_every:int ->
-    ?snapshot_to:string ->
-    ?resume_from:string ->
-    ?deadline_s:float ->
-    ?salvage:bool ->
-    config ->
-    graph
+  val explore : ?max_states:int -> ?reduction:reduction -> config -> graph
   (** Breadth-first reachability from {!initial} (default reduction
       {!Full}; default budget 2,000,000 states). States are interned by
       their packed {!Codec} key. This is the sequential reference
-      explorer; the parallel explorers below are cross-validated against
-      it.
-
-      Checkpointing (all explorers): with [~snapshot_to:FILE] the
-      exploration writes a durable {!Snapshot} of its newest exact
-      generation boundary every [~snapshot_every] newly interned states
-      (default 500,000), plus a final one whenever the run ends truncated
-      (budget exhausted, or stopped by {!Snapshot.request_stop} /
-      an installed signal handler). With [~resume_from:FILE] it restores
-      that boundary — after checking the file's integrity and
-      {!fingerprint} — and continues as if never interrupted: the final
-      graph and statistics (modulo wall-clock) are bit-identical to an
-      uninterrupted run with the same budget. Raises {!Snapshot.Error} on
-      a corrupt or mismatched snapshot.
-
-      Robustness options (all explorers): [~deadline_s:S] stops the run
-      gracefully at the first generation boundary reached after [S]
-      wall-clock seconds {e of this invocation} (a resumed run gets a
-      fresh deadline), flushing a final snapshot and reporting
-      {!Checker_stats.Deadline}. [~salvage:true] makes the resume read
-      tolerate a damaged snapshot tail: it rolls back to the newest
-      intact chunk ({!Snapshot.read_salvaged}) instead of refusing to
-      start, warning on stderr about the rollback. *)
+      explorer, a plain FIFO loop that shares no code with the generation
+      driver behind {!explore_with_stats} and {!explore_external}; every
+      engine is cross-validated against it. *)
 
   val explore_with_stats :
-    ?max_states:int ->
-    ?reduction:reduction ->
-    ?snapshot_every:int ->
-    ?snapshot_to:string ->
-    ?resume_from:string ->
-    ?mem_soft_limit_mb:int ->
-    ?deadline_s:float ->
-    ?salvage:bool ->
-    config ->
-    graph * Checker_stats.t
-  (** {!explore} semantics (bit-identical graph) with observability:
-      per-depth frontier profile, throughput, dedup hit-rate, reduction
-      factor. Runs in-process on the calling domain. Checkpoint options
-      as in {!explore}; additionally [~mem_soft_limit_mb] arms the
-      memory watermark: past it, expansion batches halve (floor 16),
-      a snapshot is forced and the heap is compacted — the graph stays
-      bit-identical, only per-depth sample granularity degrades
-      (DESIGN.md §10). *)
-
-  val explore_par :
     ?max_states:int ->
     ?domains:int ->
     ?par_threshold:int ->
@@ -151,45 +102,63 @@ module Make (P : Protocol.PROTOCOL) : sig
     ?snapshot_every:int ->
     ?snapshot_to:string ->
     ?resume_from:string ->
-    ?mem_soft_limit_mb:int ->
     ?deadline_s:float ->
     ?salvage:bool ->
     config ->
     graph * Checker_stats.t
-  (** Frontier-parallel breadth-first exploration over [domains] domains
-      (default [Domain.recommended_domain_count ()]; an explicit
-      [~domains] is honored as given, even beyond the host's recommended
-      count — benchmarks that oversubscribe must say so). Each wide
-      generation is cut into chunks of the frontier: every domain claims
-      chunks and maps their states to their successors' labels,
-      canonical representatives, keys and orbits, work that touches no
-      shared table, while domain 0 interns the mapped chunks in frontier
-      order through the one intern table the sequential generations use
-      (DESIGN.md §13). The resulting graph — state numbering, transition
-      lists, [complete] flag — is therefore bit-identical to {!explore}
-      for every input, including when [max_states] truncates the search.
+  (** {!explore}'s graph — bit-identical state numbering, transition
+      lists and [complete] flag, for every input and budget — with
+      observability: per-depth frontier profile, throughput, dedup
+      hit-rate, reduction factor.
 
-      Generations whose frontier is narrower than [par_threshold]
-      (default [1024 * (domains - 1)]) run sequentially on domain 0: no
-      domain is spawned until the frontier first reaches the threshold
-      (that depth is reported as [cutover] in the stats; [None] means the
-      whole run stayed sequential). [domains = 1] always runs inline
-      without spawning.
+      Parallelism: [domains] (default 1; an explicit count is honored as
+      given, even beyond the host's — pass
+      [Domain.recommended_domain_count ()] for the host's). Generations
+      whose frontier is narrower than [par_threshold] (default
+      [1024 * (domains - 1)]) run inline on the calling domain; no domain
+      is spawned until the frontier first reaches the threshold (that
+      depth is reported as [cutover] in the stats; [None] means the whole
+      run stayed inline). A wide generation is cut into chunks of the
+      frontier: every domain claims chunks and maps their states to their
+      successors' labels, canonical representatives, keys and orbits,
+      work that touches no shared table, while the calling domain interns
+      the mapped chunks in frontier order through the same intern table
+      the inline generations use (DESIGN.md §13), so the ids are the
+      sequential ids by construction.
 
-      Supervision is built in (DESIGN.md §12): a chunk is pure, so
-      domain 0 maps again any chunk whose worker died or has held it past
-      a fixed patience, and respawns a dead worker (a bounded number of
-      times, counted in {!Checker_stats.t.restarts}) at the next wide
-      generation. A worker's exception ends only that worker; a
-      deterministic one (a protocol bug) resurfaces when domain 0 maps the
-      chunk again, and is raised as {!explore} would raise it. A kill
+      Supervision is built in (DESIGN.md §12): a chunk is pure, so the
+      calling domain maps again any chunk whose worker died or has held
+      it past a fixed patience, and respawns a dead worker (a bounded
+      number of times, counted in {!Checker_stats.t.restarts}) at the
+      next wide generation. A worker's exception ends only that worker; a
+      deterministic one (a protocol bug) resurfaces when the chunk is
+      mapped again, and is raised as {!explore} would raise it. A kill
       aimed at domain 0 propagates to the caller (see {!with_recovery}).
 
-      Checkpoint options as in {!explore_with_stats}. A snapshot taken by
-      any explorer can be resumed by any other ([domains] is not part of
-      the fingerprint); the graph is bit-identical either way, and the
-      statistics are bit-identical (modulo wall-clock) when the
-      interrupted and resuming runs use the same explorer settings. *)
+      Checkpointing: with [~snapshot_to:FILE] the exploration writes a
+      durable {!Snapshot} of its newest exact generation boundary every
+      [~snapshot_every] newly interned states (default 500,000), plus a
+      final one whenever the run ends truncated (budget exhausted,
+      deadline, or stopped by {!Snapshot.request_stop} / an installed
+      signal handler). With [~resume_from:FILE] it restores that boundary
+      — after checking the file's integrity and {!fingerprint} — and
+      continues as if never interrupted: the final graph and statistics
+      (modulo wall-clock) are bit-identical to an uninterrupted run with
+      the same budget. Raises {!Snapshot.Error} on a corrupt or
+      mismatched snapshot. [domains] is not part of the fingerprint: a
+      snapshot taken at one domain count resumes at any other, to the
+      same graph.
+
+      [~deadline_s:S] stops the run gracefully at the first generation
+      boundary reached after [S] wall-clock seconds {e of this
+      invocation} (a resumed run gets a fresh deadline), flushing a final
+      snapshot and reporting {!Checker_stats.Deadline}. [~salvage:true]
+      makes the resume read tolerate a damaged snapshot tail: it rolls
+      back to the newest intact chunk ({!Snapshot.read_chunks}) instead
+      of refusing to start, warning on stderr about the rollback. On
+      [Out_of_memory] (with [~snapshot_to]) the run flushes its newest
+      exact boundary and degrades to a {!Checker_stats.Oom} result at
+      that boundary. A budget below 1 explores nothing. *)
 
   val external_fingerprint : reduction:reduction -> config -> Digest.t * string
 (** Fingerprint of the external-memory explorer's checkpoints and run
@@ -230,11 +199,15 @@ module Make (P : Protocol.PROTOCOL) : sig
       to {!explore_with_stats} on the same configuration and budget:
       counts, depth profile, orbit sums, stop reason all match.
 
-      Checkpointing as in {!explore}, with two differences: the envelope
-      embeds the run-file manifest (and {!external_fingerprint}, not
-      {!fingerprint}), and a budget-threatened generation flushes the
-      still-exact {e pre-generation} boundary before assigning ids, so a
-      budget-truncated run resumes bit-identically. On [Out_of_memory]
+      It runs the same generation driver as {!explore_with_stats}, over
+      the disk-backed store instead of the in-RAM one, so checkpointing,
+      deadlines, stop reasons and salvage behave as there, with three
+      differences: the envelope embeds the run-file manifest (and
+      {!external_fingerprint}, not {!fingerprint}); a budget-threatened
+      generation flushes the still-exact {e pre-generation} boundary
+      before assigning ids (the hot table has no O(1) image), so a
+      budget-truncated run resumes bit-identically; and a spill
+      checkpoints the boundary at once. On [Out_of_memory]
       (with [~snapshot_to]) the run degrades to a {!Checker_stats.Oom}
       result whose resume point is the last periodic checkpoint. Under
       [~salvage] a resume walks the intact snapshot chunks newest-first

@@ -340,7 +340,11 @@ module Make (P : Protocol.PROTOCOL) = struct
           disagreement := Some { attempt = i; subject; detail }
       in
       let g = E.explore ~max_states cfg in
-      let g_par, _ = E.explore_par ~max_states cfg in
+      let g_par, _ =
+        E.explore_with_stats ~max_states
+          ~domains:(Domain.recommended_domain_count ())
+          cfg
+      in
       if not (same_graph g g_par) then
         disagree "seq/par graphs"
           (Printf.sprintf

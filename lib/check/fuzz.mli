@@ -5,8 +5,9 @@
     protocol inputs, and runs it through every engine the repo has:
 
     - the sequential explorer ({!Explore.Make.explore}) — the reference;
-    - the parallel explorer ({!Explore.Make.explore_par}) — must produce a
-      bit-identical graph;
+    - the parallel explorer ({!Explore.Make.explore_with_stats} on the
+      host's recommended domain count) — must produce a bit-identical
+      graph;
     - the graph-level property checkers ({!Mutex_props}, {!Props});
     - the concrete runtime, twice: every graph-level witness is replayed as
       a schedule script and must reproduce, and independent randomized

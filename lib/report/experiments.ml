@@ -1428,17 +1428,18 @@ let e17_fairness speed =
 (* E18: the frontier-parallel model checker                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Cross-validates [Explore.explore_par] against the sequential oracle on
-   every protocol family: the graphs must be bit-identical (same state
-   numbering, same transition lists, same completeness flag), so every
-   verdict the parallel checker produces is the sequential checker's
-   verdict. Throughputs are wall-clock and host-dependent. *)
+(* Cross-validates the parallel [Explore.explore_with_stats] against the
+   sequential oracle on every protocol family: the graphs must be
+   bit-identical (same state numbering, same transition lists, same
+   completeness flag), so every verdict the parallel checker produces is
+   the sequential checker's verdict. Throughputs are wall-clock and
+   host-dependent. *)
 module ParCheck (P : Protocol.PROTOCOL) = struct
   module E = Check.Explore.Make (P)
 
   let row ~label ~domains (cfg : E.config) =
     let gs, ss = E.explore_with_stats cfg in
-    let gp, sp = E.explore_par ~domains cfg in
+    let gp, sp = E.explore_with_stats ~domains cfg in
     let identical =
       gs.states = gp.states && gs.succs = gp.succs && gs.complete = gp.complete
     in
@@ -2031,7 +2032,7 @@ module ChaosRow (P : Protocol.PROTOCOL) = struct
      sequential explorer's graph by the parity contract, but carrying
      the parallel run's domain count) *)
   let parallel_row ~label ~domains (cfg : E.config) =
-    let oracle = E.explore_par ~domains ~par_threshold:0 cfg in
+    let oracle = E.explore_with_stats ~domains ~par_threshold:0 cfg in
     let plan =
       {
         Resilience.seed = 9;
@@ -2045,7 +2046,7 @@ module ChaosRow (P : Protocol.PROTOCOL) = struct
       }
     in
     with_plan plan (fun () ->
-        let g, s = E.explore_par ~domains ~par_threshold:0 cfg in
+        let g, s = E.explore_with_stats ~domains ~par_threshold:0 cfg in
         [
           label;
           Format.asprintf "%a" Resilience.pp_plan plan;

@@ -68,8 +68,9 @@ let collisions t = locked t (fun () -> t.collisions)
    [Checker_stats.t] changes: a file of another layout is then refused
    instead of decoding into shifted fields. Bump it too when what an
    entry means changes: v3 check details carry the namings, and v3 fuzz
-   verdicts come from campaigns with the baseline twins. *)
-let format = "coordctl verdict cache v3"
+   verdicts come from campaigns with the baseline twins. v4 statistics
+   have no [shard_load]. *)
+let format = "coordctl verdict cache v4"
 let fingerprint = Digest.string format
 
 let save t ~path =

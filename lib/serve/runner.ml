@@ -113,7 +113,8 @@ module Job (X : Protocols.ENTRY) = struct
   (* ---------------------------------------------------------------- *)
 
   let check_slice ?cache ?quantum ?deadline_left_s ~salvage ?domains
-      ?snapshot_every ?resume ~recover ?snapshot (spec : Spec.t) cs0 =
+      ?snapshot_every ?resume ~recover ?snapshot ~on_config (spec : Spec.t)
+      cs0 =
     let n = spec.Spec.n and reduction = spec.Spec.reduction in
     let cfgs =
       Array.of_list
@@ -181,6 +182,7 @@ module Job (X : Protocols.ENTRY) = struct
         in
         match hit with
         | Some e ->
+          on_config (e.Cache.detail ^ " [cached]") e.Cache.stats;
           (* consecutive hits fold into one slice: a fully-cached job
              completes in a single slice with [explored = 0] *)
           step
@@ -219,14 +221,15 @@ module Job (X : Protocols.ENTRY) = struct
           (fun d -> Float.max 0.0 (d -. (Check.Checker_stats.now () -. t0)))
           deadline_left_s
       in
-      let run ~resume_from ~snapshot_to =
+      let domains =
         match spec.Spec.engine with
-        | Spec.Seq ->
-          E.explore_with_stats ?max_states:cap ~reduction ?snapshot_every
-            ?snapshot_to ?resume_from ?deadline_s ~salvage cfg
+        | Spec.Seq -> 1
         | Spec.Par ->
-          E.explore_par ?max_states:cap ?domains ~reduction ?snapshot_every
-            ?snapshot_to ?resume_from ?deadline_s ~salvage cfg
+          Option.value domains ~default:(Domain.recommended_domain_count ())
+      in
+      let run ~resume_from ~snapshot_to =
+        E.explore_with_stats ?max_states:cap ~domains ~reduction
+          ?snapshot_every ?snapshot_to ?resume_from ?deadline_s ~salvage cfg
       in
       let g, st =
         match snapshot with
@@ -256,6 +259,7 @@ module Job (X : Protocols.ENTRY) = struct
             (if g.E.complete then "" else ", truncated")
             (render_verdicts vs)
         in
+        on_config detail (Some st);
         (* only complete explorations are cacheable: the fingerprint
            excludes the budget, so a truncated verdict would poison
            later, bigger-budget queries *)
@@ -384,15 +388,15 @@ end
 (* ------------------------------------------------------------------ *)
 
 let run_slice ?cache ?quantum ?deadline_left_s ?(salvage = false) ?domains
-    ?snapshot_every ?resume ?(recover = false) ?snapshot (spec : Spec.t)
-    (p : progress) : slice =
+    ?snapshot_every ?resume ?(recover = false) ?snapshot
+    ?(on_config = fun _ _ -> ()) (spec : Spec.t) (p : progress) : slice =
   let module X = (val Protocols.find spec.Spec.proto) in
   let module J = Job (X) in
   match spec.Spec.kind with
   | Spec.Check ->
     let cs = match p with Start -> init_cs | Check_cursor cs -> cs in
     J.check_slice ?cache ?quantum ?deadline_left_s ~salvage ?domains
-      ?snapshot_every ?resume ~recover ?snapshot spec cs
+      ?snapshot_every ?resume ~recover ?snapshot ~on_config spec cs
   | Spec.Fuzz | Spec.Hunt -> (
     let id = Spec.ident spec in
     let key = Digest.string id in

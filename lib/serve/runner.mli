@@ -77,6 +77,7 @@ val run_slice :
   ?resume:string ->
   ?recover:bool ->
   ?snapshot:string ->
+  ?on_config:(string -> Check.Checker_stats.t option -> unit) ->
   Spec.t ->
   progress ->
   slice
@@ -102,4 +103,10 @@ val run_slice :
     a [snapshot]), transient infrastructure failures retry from the
     newest salvageable checkpoint ({!Check.Explore.Make.with_recovery});
     without it they escape as exceptions and the {!Pool} owns the retry
-    policy. *)
+    policy.
+
+    [on_config] is called once per configuration of a check job, in
+    sweep order, as the configuration is judged or served from the
+    cache: with its line of [detail] and its statistics ([None] for a
+    cache entry stored without them). [coordctl check] prints from it,
+    so each line appears as soon as its configuration is done. *)

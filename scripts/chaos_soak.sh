@@ -42,8 +42,8 @@ fail() {
 # the echoed fault plan, and the infrastructure-weather lines
 # (worker restarts, recovery retries, spill counts) that faults
 # legitimately perturb. States,
-# completeness, transitions, depth, dedup accounting and shard load must
-# survive any absorbed fault bit for bit.
+# completeness, transitions, depth and dedup accounting must survive
+# any absorbed fault bit for bit.
 flat() {
   grep -v \
     -e '^fault plan:' -e '^throughput' -e '^supervision:' \

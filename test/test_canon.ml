@@ -90,7 +90,7 @@ module Quot (P : Protocol.PROTOCOL) = struct
     List.iter
       (fun threshold ->
         let par, _ =
-          E.explore_par ~domains:2 ?par_threshold:threshold ~reduction:Canon
+          E.explore_with_stats ~domains:2 ?par_threshold:threshold ~reduction:Canon
             cfg
         in
         Alcotest.(check bool)
@@ -425,7 +425,7 @@ let test_gen_canonical_invariance () =
         List.iter
           (fun threshold ->
             let par, _ =
-              QMutex.E.explore_par ~domains:d ?par_threshold:threshold
+              QMutex.E.explore_with_stats ~domains:d ?par_threshold:threshold
                 ~reduction:Canon cfg
             in
             Alcotest.(check bool)

@@ -11,12 +11,11 @@ module E = Explore.Make (P)
 
 let cfg () = E.config ~m:3 ~ids:[ 7; 13 ] ~inputs:[ (); () ] ()
 
-let tmp_dir name =
-  let f = Filename.temp_file ("coorddv-" ^ name) ".d" in
-  Sys.remove f;
-  f
-
-let tmp_snap name = Filename.temp_file ("coorddv-" ^ name) ".snap"
+(* [in_tmp name f]: [f dir snap] on a fresh run-file directory and a
+   snapshot path, both removed when the test ends *)
+let in_tmp name f =
+  Tmp.with_dir ("dv-" ^ name) (fun tmp ->
+      f (Filename.concat tmp "runs") (Filename.concat tmp "snap"))
 
 let check_stats tag a b =
   Alcotest.(check bool)
@@ -33,7 +32,7 @@ let fp = Digest.string "disk-visited-unit"
 let descr = "unit test"
 
 let test_store_roundtrip () =
-  let dir = tmp_dir "unit" in
+  Tmp.with_dir "dv-unit" @@ fun dir ->
   let dv = Disk_visited.create ~dir ~key_len:3 () in
   Disk_visited.spill dv ~fingerprint:fp ~descr [| "aaa"; "bbb"; "ccc" |];
   Disk_visited.spill dv ~fingerprint:fp ~descr [| "abc"; "zzz" |];
@@ -53,7 +52,7 @@ let test_store_roundtrip () =
     (Disk_visited.probe dv' [| "ccc"; "xxx"; "zzz" |])
 
 let test_restore_deletes_strays () =
-  let dir = tmp_dir "stray" in
+  Tmp.with_dir "dv-stray" @@ fun dir ->
   let dv = Disk_visited.create ~dir ~key_len:3 () in
   Disk_visited.spill dv ~fingerprint:fp ~descr [| "aaa"; "bbb" |];
   let m1 = Disk_visited.manifest dv in
@@ -69,7 +68,8 @@ let test_restore_deletes_strays () =
     (Sys.file_exists (Filename.concat dir "run-0001.run"))
 
 let test_restore_refuses_damage () =
-  let dir = tmp_dir "damage" in
+  Tmp.with_dir "dv-damage" @@ fun tmp ->
+  let dir = Filename.concat tmp "damage" in
   let dv = Disk_visited.create ~dir ~key_len:3 () in
   Disk_visited.spill dv ~fingerprint:fp ~descr [| "aaa"; "bbb"; "ccc" |];
   let m = Disk_visited.manifest dv in
@@ -80,7 +80,7 @@ let test_restore_refuses_damage () =
   | _ -> Alcotest.fail "restore accepted a truncated run"
   | exception Snapshot.Error _ -> ());
   (* a fingerprint mismatch is refused before any byte is trusted *)
-  let dir2 = tmp_dir "fpmism" in
+  let dir2 = Filename.concat tmp "fpmism" in
   let dv2 = Disk_visited.create ~dir:dir2 ~key_len:3 () in
   Disk_visited.spill dv2 ~fingerprint:fp ~descr [| "aaa" |];
   match
@@ -94,7 +94,7 @@ let test_restore_refuses_damage () =
 (* A spill that died between tmp file and rename leaves run-*.tmp debris
    no manifest references; create and restore both sweep it. *)
 let test_tmp_debris_swept () =
-  let dir = tmp_dir "tmpdebris" in
+  Tmp.with_dir "dv-tmpdebris" @@ fun dir ->
   let dv = Disk_visited.create ~dir ~key_len:3 () in
   Disk_visited.spill dv ~fingerprint:fp ~descr [| "aaa"; "bbb" |];
   let m = Disk_visited.manifest dv in
@@ -120,7 +120,7 @@ let test_tmp_debris_swept () =
    alternative is an exhaustive checker that silently answers "not
    visited" for a visited state. *)
 let test_spill_verifies_after_write () =
-  let dir = tmp_dir "flip" in
+  Tmp.with_dir "dv-flip" @@ fun dir ->
   let dv = Disk_visited.create ~dir ~key_len:3 () in
   Resilience.arm
     {
@@ -143,7 +143,7 @@ let test_spill_verifies_after_write () =
 (* Quota accounting at the store level: bytes tracked across spill and
    restore, the explorer's pre-check, and the last-ditch refusal. *)
 let test_quota_accounting () =
-  let dir = tmp_dir "quota" in
+  Tmp.with_dir "dv-quota" @@ fun dir ->
   let dv = Disk_visited.create ~quota_bytes:9 ~dir ~key_len:3 () in
   Alcotest.(check bool) "room for two keys" false
     (Disk_visited.would_exceed_quota dv ~adding:6);
@@ -169,6 +169,8 @@ let test_quota_accounting () =
 (* --------------- explorer parity: spill-and-probe -------------------- *)
 
 let test_external_parity () =
+  Tmp.with_dir "dv-parity" @@ fun tmp ->
+  let tmp_dir = Filename.concat tmp in
   let cfg = cfg () in
   let rs = Lazy.force oracle in
   (* roomy hot table: the whole visited set stays in RAM *)
@@ -196,7 +198,8 @@ let test_external_truncation_parity () =
     (fun b ->
       let _, rs = E.explore_with_stats ~max_states:b cfg in
       let s =
-        E.explore_external ~max_states:b ~hot_cap:32 ~dir:(tmp_dir "trunc") cfg
+        Tmp.with_dir "dv-trunc" (fun dir ->
+            E.explore_external ~max_states:b ~hot_cap:32 ~dir cfg)
       in
       check_stats (Printf.sprintf "budget %d" b) rs s;
       Alcotest.(check bool) "truncated" false s.Checker_stats.complete;
@@ -207,9 +210,8 @@ let test_external_truncation_parity () =
 (* ------------------- checkpoint / resume ----------------------------- *)
 
 let test_resume_after_budget () =
+  in_tmp "resume" @@ fun dir snap ->
   let cfg = cfg () in
-  let dir = tmp_dir "resume" in
-  let snap = tmp_snap "resume" in
   let n = (Lazy.force oracle).Checker_stats.n_states in
   let t =
     E.explore_external ~max_states:(n / 3) ~hot_cap:32 ~dir ~snapshot_to:snap
@@ -224,9 +226,8 @@ let test_resume_after_budget () =
   Alcotest.(check bool) "resumed run complete" true r.Checker_stats.complete
 
 let test_resume_after_interrupt () =
+  in_tmp "intr" @@ fun dir snap ->
   let cfg = cfg () in
-  let dir = tmp_dir "intr" in
-  let snap = tmp_snap "intr" in
   Snapshot.reset_stop ();
   Snapshot.request_stop ();
   let t =
@@ -242,10 +243,8 @@ let test_resume_after_interrupt () =
    stage 2 resumes with a tiny hot table, spills a run, checkpoints and
    is interrupted — its newest checkpoint references both a run file and
    a hot remainder. *)
-let mid_spill_setup () =
+let mid_spill_setup dir snap =
   let cfg = cfg () in
-  let dir = tmp_dir "mid" in
-  let snap = tmp_snap "mid" in
   let n = (Lazy.force oracle).Checker_stats.n_states in
   let t1 =
     E.explore_external ~max_states:(n / 5) ~dir ~snapshot_to:snap cfg
@@ -263,15 +262,17 @@ let mid_spill_setup () =
     (t2.Checker_stats.stop = Checker_stats.Interrupted);
   Alcotest.(check bool) "stage 2 spilled a run" true
     (t2.Checker_stats.spilled_runs > 0);
-  (cfg, dir, snap)
+  cfg
 
 let test_resume_mid_spill () =
-  let cfg, dir, snap = mid_spill_setup () in
+  in_tmp "mid" @@ fun dir snap ->
+  let cfg = mid_spill_setup dir snap in
   let r = E.explore_external ~resume_from:snap ~hot_cap:8 ~dir cfg in
   check_stats "mid-spill resume = uninterrupted" (Lazy.force oracle) r
 
 let test_salvage_damaged_run () =
-  let cfg, dir, snap = mid_spill_setup () in
+  in_tmp "salvage" @@ fun dir snap ->
+  let cfg = mid_spill_setup dir snap in
   (* the file holds the stage-1 chunk (no runs) and stage-2 chunks (run
      manifest + hot remainder): enough history to roll back through *)
   let _, chunks, _ = Snapshot.read_chunks ~path:snap in
@@ -306,9 +307,8 @@ let test_salvage_damaged_run () =
    flushes a checkpoint, and reports [Disk_full]; resuming on a bigger
    disk completes bit-identically. *)
 let test_quota_degrades_gracefully () =
+  in_tmp "quotax" @@ fun dir snap ->
   let cfg = cfg () in
-  let dir = tmp_dir "quotax" in
-  let snap = tmp_snap "quotax" in
   let t =
     E.explore_external ~hot_cap:8 ~disk_quota_bytes:16 ~dir ~snapshot_to:snap
       cfg

@@ -12,9 +12,9 @@ let domains_under_test = [ 1; 2; 3 ]
 module Parity (P : Protocol.PROTOCOL) = struct
   module E = Explore.Make (P)
 
-  (* Compares the sequential oracle against [explore_par] at several
-     domain counts and against [explore_with_stats], and sanity-checks
-     the reported statistics against the graph. *)
+  (* Compares the sequential oracle against [explore_with_stats] at
+     several domain counts, inline and wide, and sanity-checks the
+     reported statistics against the graph. *)
   let run ?max_states (cfg : E.config) =
     let seq = E.explore ?max_states cfg in
     let n_seq = Array.length seq.states in
@@ -25,8 +25,8 @@ module Parity (P : Protocol.PROTOCOL) = struct
         List.iter
           (fun threshold ->
             let par, stats =
-              E.explore_par ?max_states ~domains:d ?par_threshold:threshold
-                cfg
+              E.explore_with_stats ?max_states ~domains:d
+                ?par_threshold:threshold cfg
             in
             let tag what =
               Printf.sprintf "%s (%d domains, threshold %s): %s" P.name d
@@ -73,11 +73,7 @@ module Parity (P : Protocol.PROTOCOL) = struct
                 (tag "candidates >= states + dedup_hits")
                 true
                 (stats.Checker_stats.candidates
-                >= stats.Checker_stats.n_states + stats.Checker_stats.dedup_hits);
-            Alcotest.(check int)
-              (tag "shard loads sum to states")
-              n_seq
-              (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
+                >= stats.Checker_stats.n_states + stats.Checker_stats.dedup_hits))
           [ None; Some 0 ])
       domains_under_test;
     let ws, _ = E.explore_with_stats ?max_states cfg in
@@ -173,7 +169,7 @@ module Matrix (P : Protocol.PROTOCOL) = struct
     List.iter
       (fun domains ->
         let par, stats =
-          E.explore_par ?max_states ~domains ~par_threshold:0 cfg
+          E.explore_with_stats ?max_states ~domains ~par_threshold:0 cfg
         in
         let tag what = Printf.sprintf "%s [d=%d]: %s" P.name domains what in
         Alcotest.(check bool)
@@ -189,11 +185,7 @@ module Matrix (P : Protocol.PROTOCOL) = struct
           Alcotest.(check int)
             (tag "candidates = states + dedup_hits")
             (stats.Checker_stats.n_states + stats.Checker_stats.dedup_hits)
-            stats.Checker_stats.candidates;
-        Alcotest.(check int)
-          (tag "shard loads sum to states")
-          (Array.length seq.E.states)
-          (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
+            stats.Checker_stats.candidates)
       matrix_domains
 end
 
@@ -236,7 +228,7 @@ let test_sharded_supervised_kill () =
       Resilience.arm plan;
       Fun.protect ~finally:Resilience.disarm (fun () ->
           let par, stats =
-            MMutex.E.explore_par ~domains ~par_threshold:0 mutex_cfg
+            MMutex.E.explore_with_stats ~domains ~par_threshold:0 mutex_cfg
           in
           let lbl msg = Printf.sprintf "d%d: %s" domains msg in
           Alcotest.(check bool)
@@ -262,7 +254,7 @@ let test_stalled_worker () =
       namings = [| Naming.identity 5; Naming.rotation 5 1 |];
     }
   in
-  let og, os = MMutex.E.explore_par ~domains:2 ~par_threshold:0 cfg in
+  let og, os = MMutex.E.explore_with_stats ~domains:2 ~par_threshold:0 cfg in
   let plan =
     {
       Resilience.seed = 12;
@@ -275,7 +267,7 @@ let test_stalled_worker () =
   in
   Resilience.arm plan;
   Fun.protect ~finally:Resilience.disarm (fun () ->
-      let g, s = MMutex.E.explore_par ~domains:2 ~par_threshold:0 cfg in
+      let g, s = MMutex.E.explore_with_stats ~domains:2 ~par_threshold:0 cfg in
       Alcotest.(check int) "the stall fired" 1 (Resilience.fired ());
       Alcotest.(check bool) "same states" true
         (og.MMutex.E.states = g.MMutex.E.states);
@@ -331,7 +323,8 @@ let test_step_raises () =
         (Printf.sprintf "d=%d raises what explore raises" domains)
         expected
         (raised (fun () ->
-             ignore (EFaulty.explore_par ~domains ~par_threshold:0 cfg))))
+             ignore
+               (EFaulty.explore_with_stats ~domains ~par_threshold:0 cfg))))
     matrix_domains
 
 (* --- statistics coherence on a complete exploration --- *)

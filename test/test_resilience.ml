@@ -12,7 +12,38 @@ module E = Explore.Make (P)
 
 let cfg () = E.config ~m:3 ~ids:[ 7; 13 ] ~inputs:[ (); () ] ()
 
-let tmp_snap name = Filename.temp_file ("coordres-" ^ name) ".snap"
+(* [in_tmp name f]: [f tmp snap] on a fresh directory and a snapshot
+   path inside it, both removed when the test ends *)
+let in_tmp name f =
+  Tmp.with_dir ("res-" ^ name) (fun tmp -> f tmp (Filename.concat tmp "snap"))
+
+(* The stores the generation driver runs over: the in-RAM table inline
+   (one domain) and wide (two domains, every generation wide), and the
+   disk-backed set with a hot table of 8 keys, so spills and run files
+   are in play from the first boundaries. [explore] runs one of them;
+   the disk store returns no graph. *)
+type store = Ram of int | Disk
+
+let stores =
+  [
+    ("in RAM, d=1", Ram 1);
+    ("in RAM, d=2 wide", Ram 2);
+    ("disk, hot cap 8", Disk);
+  ]
+
+let explore store ~dir ?deadline_s ?snapshot_every ?snapshot_to ?resume_from
+    ?salvage c =
+  match store with
+  | Ram domains ->
+    let g, s =
+      E.explore_with_stats ~domains ~par_threshold:0 ?deadline_s
+        ?snapshot_every ?snapshot_to ?resume_from ?salvage c
+    in
+    (Some g, s)
+  | Disk ->
+    ( None,
+      E.explore_external ~hot_cap:8 ~dir ?deadline_s ?snapshot_every
+        ?snapshot_to ?resume_from ?salvage c )
 
 let with_plan plan f =
   Resilience.arm plan;
@@ -154,7 +185,7 @@ let test_mutate_write () =
    and respawns them; the result must not change by a bit. *)
 let test_supervised_absorbs_kills () =
   let c = cfg () in
-  let og, os = E.explore_par ~domains:3 ~par_threshold:2 c in
+  let og, os = E.explore_with_stats ~domains:3 ~par_threshold:2 c in
   let plan =
     {
       Resilience.seed = 1;
@@ -167,7 +198,7 @@ let test_supervised_absorbs_kills () =
     }
   in
   with_plan plan (fun () ->
-      let sg, ss = E.explore_par ~domains:3 ~par_threshold:2 c in
+      let sg, ss = E.explore_with_stats ~domains:3 ~par_threshold:2 c in
       Alcotest.(check bool) "kills fired" true (Resilience.fired () >= 1);
       check_graph "killed workers" og sg;
       check_stats "killed workers" os ss)
@@ -180,7 +211,7 @@ let test_supervised_absorbs_kills () =
 let test_recovery_from_supervisor_kill () =
   let c = cfg () in
   let og, os = E.explore_with_stats c in
-  let snap = tmp_snap "kill0" in
+  in_tmp "kill0" @@ fun _ snap ->
   let plan =
     {
       Resilience.seed = 2;
@@ -195,46 +226,53 @@ let test_recovery_from_supervisor_kill () =
       in
       Alcotest.(check int) "the kill fired" 1 (Resilience.fired ());
       check_graph "recovered from supervisor kill" og rg;
-      check_stats "recovered from supervisor kill" os rs);
-  Sys.remove snap
+      check_stats "recovered from supervisor kill" os rs)
 
-(* Injected allocation failure: the engine degrades to a flushed snapshot
-   and an Oom-truncated result; with_recovery resumes it to completion. *)
+(* Injected allocation failure, on every store: the run degrades to an
+   Oom-truncated result at its newest exact boundary (the in-RAM store
+   flushes it; the disk store's resume point is its last periodic
+   checkpoint); with_recovery resumes it to completion. *)
 let test_recovery_from_alloc_fail () =
   let c = cfg () in
-  let og, os = E.explore_with_stats c in
-  let snap = tmp_snap "alloc" in
-  let plan =
-    {
-      Resilience.seed = 3;
-      faults = [ Resilience.Alloc_fail { after_boundaries = 3 } ];
-    }
-  in
-  with_plan plan (fun () ->
-      (* first, watch the degradation itself *)
-      let tg, ts =
-        E.explore_with_stats ~snapshot_every:1 ~snapshot_to:snap c
+  List.iter
+    (fun (name, store) ->
+      in_tmp "alloc" @@ fun tmp snap ->
+      let og, os = explore store ~dir:(Filename.concat tmp "oracle") c in
+      let dir = Filename.concat tmp "runs" in
+      let plan =
+        {
+          Resilience.seed = 3;
+          faults = [ Resilience.Alloc_fail { after_boundaries = 3 } ];
+        }
       in
-      Alcotest.(check bool) "degraded, not crashed" false tg.E.complete;
-      Alcotest.(check bool) "stop reason is oom" true
-        (ts.Checker_stats.stop = Checker_stats.Oom);
-      (* the fault is consumed; recovery resumes to the oracle *)
-      let rg, rs =
-        E.with_recovery ~resume_from:snap ~snapshot_to:snap
-          (fun ~resume_from ~snapshot_to ->
-            E.explore_with_stats ~snapshot_every:1 ~snapshot_to ?resume_from
-              ~salvage:true c)
-      in
-      check_graph "recovered from alloc failure" og rg;
-      check_stats "recovered from alloc failure" os rs);
-  Sys.remove snap
+      with_plan plan (fun () ->
+          (* first, watch the degradation itself *)
+          let _, ts =
+            explore store ~dir ~snapshot_every:1 ~snapshot_to:snap c
+          in
+          Alcotest.(check bool) (name ^ ": degraded, not crashed") false
+            ts.Checker_stats.complete;
+          Alcotest.(check bool) (name ^ ": stop reason is oom") true
+            (ts.Checker_stats.stop = Checker_stats.Oom);
+          (* the fault is consumed; recovery resumes to the oracle *)
+          let rg, rs =
+            E.with_recovery ~resume_from:snap ~snapshot_to:snap
+              (fun ~resume_from ~snapshot_to ->
+                explore store ~dir ~snapshot_every:1 ~snapshot_to ?resume_from
+                  ~salvage:true c)
+          in
+          Option.iter
+            (fun og -> check_graph (name ^ ": recovered") og (Option.get rg))
+            og;
+          check_stats (name ^ ": recovered from alloc failure") os rs))
+    stores
 
 (* with_recovery end to end under one plan: the Oom-truncated RESULT
    (not exception) path must also trigger a retry. *)
 let test_recovery_retries_truncated_result () =
   let c = cfg () in
   let og, _ = E.explore_with_stats c in
-  let snap = tmp_snap "oomres" in
+  in_tmp "oomres" @@ fun _ snap ->
   let plan =
     {
       Resilience.seed = 4;
@@ -250,8 +288,7 @@ let test_recovery_retries_truncated_result () =
               ~salvage:true c)
       in
       Alcotest.(check int) "one retry after the degradation" 2 !attempts;
-      check_graph "converged" og rg);
-  Sys.remove snap
+      check_graph "converged" og rg)
 
 (* Torn snapshot write mid-campaign: the live run must not care (damage
    goes to disk, not memory), and a salvaged resume of whatever the file
@@ -260,7 +297,7 @@ let test_torn_write_salvage () =
   let c = cfg () in
   let og, os = E.explore_with_stats c in
   let total = os.Checker_stats.n_states in
-  let snap = tmp_snap "torn" in
+  in_tmp "torn" @@ fun _ snap ->
   let plan =
     {
       Resilience.seed = 5;
@@ -278,8 +315,7 @@ let test_torn_write_salvage () =
       Alcotest.(check int) "the tear fired" 1 (Resilience.fired ());
       let rg, rs = E.explore_with_stats ~resume_from:snap ~salvage:true c in
       check_graph "salvaged resume after torn write" og rg;
-      check_stats "salvaged resume after torn write" os rs);
-  Sys.remove snap
+      check_stats "salvaged resume after torn write" os rs)
 
 (* ------------------------- disk faults -------------------------------- *)
 
@@ -357,7 +393,7 @@ let test_disk_injection_points () =
 let test_recovery_from_io_error () =
   let c = cfg () in
   let og, os = E.explore_with_stats c in
-  let snap = tmp_snap "eio" in
+  in_tmp "eio" @@ fun _ snap ->
   let plan =
     {
       Resilience.seed = 6;
@@ -384,8 +420,7 @@ let test_recovery_from_io_error () =
       Alcotest.(check bool) "retries stamped as recoveries" true
         (rs.Checker_stats.recoveries >= 1);
       Alcotest.(check bool) "recoveries visible in json" true
-        (contains ~affix:"\"recoveries\"" (Checker_stats.to_json rs)));
-  Sys.remove snap
+        (contains ~affix:"\"recoveries\"" (Checker_stats.to_json rs)))
 
 (* The external-memory explorer under seeded plans widened with storage
    faults: with_recovery, which the CLI wraps around every explorer,
@@ -394,22 +429,14 @@ let test_recovery_from_io_error () =
    keep run files and snapshot chunks in play from the first boundary. *)
 let test_recovery_external_disk_faults () =
   let c = cfg () in
-  let tmp_dir name =
-    let f = Filename.temp_file ("coordres-" ^ name) ".d" in
-    Sys.remove f;
-    f
+  let os =
+    Tmp.with_dir "res-ext-oracle" (fun dir ->
+        E.explore_external ~hot_cap:8 ~dir c)
   in
-  let rm_dir dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  in
-  let odir = tmp_dir "ext-oracle" in
-  let os = E.explore_external ~hot_cap:8 ~dir:odir c in
-  rm_dir odir;
   List.iter
     (fun seed ->
-      let snap = tmp_snap "ext" in
-      let dir = tmp_dir "ext" in
+      in_tmp "ext" @@ fun tmp snap ->
+      let dir = Filename.concat tmp "runs" in
       with_plan (Resilience.plan_of_seed ~disk:true seed) (fun () ->
           let (), rs =
             E.with_recovery
@@ -425,9 +452,7 @@ let test_recovery_external_disk_faults () =
             (Resilience.fired () >= 1);
           Alcotest.(check bool) (tag ^ ": retried") true
             (rs.Checker_stats.recoveries >= 1);
-          check_stats tag os rs);
-      rm_dir dir;
-      Sys.remove snap)
+          check_stats tag os rs))
     [ 29; 30 ]
 
 (* A short write damages snapshot bytes without raising; the CRC layer
@@ -436,7 +461,7 @@ let test_short_write_salvage () =
   let c = cfg () in
   let og, os = E.explore_with_stats c in
   let total = os.Checker_stats.n_states in
-  let snap = tmp_snap "shortw" in
+  in_tmp "shortw" @@ fun _ snap ->
   let plan =
     {
       Resilience.seed = 7;
@@ -454,31 +479,41 @@ let test_short_write_salvage () =
       Alcotest.(check int) "the short write fired" 1 (Resilience.fired ());
       let rg, rs = E.explore_with_stats ~resume_from:snap ~salvage:true c in
       check_graph "salvaged resume after short write" og rg;
-      check_stats "salvaged resume after short write" os rs);
-  Sys.remove snap
+      check_stats "salvaged resume after short write" os rs)
 
 (* --------------------------- deadlines -------------------------------- *)
 
+(* On every store, an already-expired deadline stops the run at its
+   first generation boundary with the snapshot flushed, and a resume with
+   a fresh deadline completes to the uninterrupted run. *)
 let test_deadline_stops_and_resumes () =
   let c = cfg () in
-  let og, os = E.explore_with_stats c in
-  let snap = tmp_snap "deadline" in
-  (* an already-expired deadline stops at the first generation boundary *)
-  let dg, ds = E.explore_with_stats ~deadline_s:0.0 ~snapshot_to:snap c in
-  Alcotest.(check bool) "deadline truncates" false dg.E.complete;
-  Alcotest.(check bool) "stop reason is deadline" true
-    (ds.Checker_stats.stop = Checker_stats.Deadline);
-  Alcotest.(check bool) "made some progress first" true
-    (ds.Checker_stats.n_states >= 1);
-  Alcotest.(check bool) "snapshot flushed" true (Sys.file_exists snap);
-  (* a resumed run with a fresh (generous) deadline completes *)
-  let rg, rs = E.explore_with_stats ~deadline_s:3600.0 ~resume_from:snap c in
-  check_graph "resume after deadline" og rg;
-  check_stats "resume after deadline" os rs;
-  (* json carries the reason for dashboards *)
-  Alcotest.(check bool) "stop tag in json" true
-    (contains ~affix:"\"deadline\"" (Checker_stats.to_json ds));
-  Sys.remove snap
+  List.iter
+    (fun (name, store) ->
+      in_tmp "deadline" @@ fun tmp snap ->
+      let og, os = explore store ~dir:(Filename.concat tmp "oracle") c in
+      let dir = Filename.concat tmp "runs" in
+      let _, ds = explore store ~dir ~deadline_s:0.0 ~snapshot_to:snap c in
+      let tag = ( ^ ) (name ^ ": ") in
+      Alcotest.(check bool) (tag "deadline truncates") false
+        ds.Checker_stats.complete;
+      Alcotest.(check bool) (tag "stop reason is deadline") true
+        (ds.Checker_stats.stop = Checker_stats.Deadline);
+      Alcotest.(check bool) (tag "made some progress first") true
+        (ds.Checker_stats.n_states >= 1);
+      Alcotest.(check bool) (tag "snapshot flushed") true
+        (Sys.file_exists snap);
+      let rg, rs =
+        explore store ~dir ~deadline_s:3600.0 ~resume_from:snap c
+      in
+      Option.iter
+        (fun og -> check_graph (tag "resume after deadline") og (Option.get rg))
+        og;
+      check_stats (tag "resume after deadline") os rs;
+      (* json carries the reason for dashboards *)
+      Alcotest.(check bool) (tag "stop tag in json") true
+        (contains ~affix:"\"deadline\"" (Checker_stats.to_json ds)))
+    stores
 
 let suite =
   [

@@ -22,12 +22,6 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   go 0
 
-let tmp_dir name =
-  let d = Filename.temp_file ("coordserve-" ^ name) ".d" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
-
 let with_plan plan f =
   Resilience.arm plan;
   Fun.protect ~finally:Resilience.disarm f
@@ -193,7 +187,7 @@ let test_cache_save_load () =
 (* -------------------------- queue ordering ---------------------------- *)
 
 let test_queue_ordering () =
-  let dir = tmp_dir "queue" in
+  Tmp.with_dir "serve-queue" @@ fun dir ->
   (* tiny quantum so check jobs yield instead of finishing in one slice *)
   let pool = Serve.Pool.create ~quantum:200 ~state_dir:dir () in
   let j0 = Serve.Pool.submit pool (spec_check ()) in
@@ -222,7 +216,7 @@ let test_queue_ordering () =
 (* ------------------------- budget enforcement ------------------------- *)
 
 let test_per_job_budget () =
-  let dir = tmp_dir "budget" in
+  Tmp.with_dir "serve-budget" @@ fun dir ->
   let pool = Serve.Pool.create ~state_dir:dir () in
   let id = Serve.Pool.submit pool (spec_check ~max_states:500 ()) in
   Serve.Pool.drain pool;
@@ -243,7 +237,7 @@ let test_preempt_resume_bit_identity () =
   (* the same job, uninterrupted (huge quantum: one slice per config)
      vs preempted every 700 states; separate caches so neither feeds the
      other *)
-  let base = tmp_dir "preempt" in
+  Tmp.with_dir "serve-preempt" @@ fun base ->
   let run ~quantum =
     let dir = Filename.concat base (Printf.sprintf "q%d" quantum) in
     let pool = Serve.Pool.create ~quantum ~state_dir:dir () in
@@ -270,7 +264,7 @@ let test_preempt_resume_bit_identity () =
 (* ------------------- repeat submissions hit the cache ----------------- *)
 
 let test_repeat_served_from_cache () =
-  let dir = tmp_dir "repeat" in
+  Tmp.with_dir "serve-repeat" @@ fun dir ->
   let pool = Serve.Pool.create ~quantum:900 ~state_dir:dir () in
   let a = Serve.Pool.submit pool (spec_check ()) in
   Serve.Pool.drain pool;
@@ -300,6 +294,40 @@ let test_repeat_served_from_cache () =
   let oc_ = finished_outcome "m=2" pool c in
   Alcotest.(check int) "different config misses the cache" 0
     oc_.Serve.Runner.cached_configs
+
+(* ---------------- a check job streams one line per config ------------- *)
+
+(* [on_config] fires once per configuration, in sweep order, with the
+   line [detail] stores — as it is explored, and again when the repeat
+   is served from the cache. *)
+let test_on_config_streams_detail () =
+  let cache = Serve.Cache.create () in
+  List.iter
+    (fun (pass, cached) ->
+      let lines = ref [] and with_stats = ref 0 in
+      let on_config line st =
+        lines := line :: !lines;
+        if Option.is_some st then incr with_stats
+      in
+      match
+        Serve.Runner.run_slice ~cache ~on_config (spec_check ())
+          Serve.Runner.start
+      with
+      | Serve.Runner.Yield _ ->
+        Alcotest.fail (pass ^ ": an unsliced run yielded")
+      | Serve.Runner.Done o ->
+        let configs = o.Serve.Runner.configs in
+        Alcotest.(check int) (pass ^ ": cached configs")
+          (if cached then configs else 0)
+          o.Serve.Runner.cached_configs;
+        Alcotest.(check int) (pass ^ ": one call per configuration") configs
+          (List.length !lines);
+        Alcotest.(check string) (pass ^ ": the lines of detail, in order")
+          o.Serve.Runner.detail
+          (String.concat "; " (List.rev !lines));
+        Alcotest.(check int) (pass ^ ": stats with every line") configs
+          !with_stats)
+    [ ("explored", false); ("cached", true) ]
 
 (* ------------- every protocol x job kind runs to a verdict ------------ *)
 
@@ -338,7 +366,7 @@ let test_every_protocol_and_kind () =
 (* ------------------------ deadline and cancel ------------------------- *)
 
 let test_deadline_exit () =
-  let dir = tmp_dir "deadline" in
+  Tmp.with_dir "serve-deadline" @@ fun dir ->
   let pool = Serve.Pool.create ~state_dir:dir () in
   (* an expired deadline still stops gracefully at a generation boundary *)
   let id = Serve.Pool.submit pool (spec_check ~deadline_s:0.0 ()) in
@@ -368,7 +396,7 @@ let test_deadline_exit () =
       (List.length (String.split_on_char ';' o.Serve.Runner.detail))
 
 let test_cancel_paths () =
-  let dir = tmp_dir "cancel" in
+  Tmp.with_dir "serve-cancel" @@ fun dir ->
   let pool = Serve.Pool.create ~state_dir:dir () in
   let a = Serve.Pool.submit pool (spec_check ()) in
   let b = Serve.Pool.submit pool (spec_check ~m:2 ()) in
@@ -386,7 +414,7 @@ let test_cancel_paths () =
 (* --------------------- crash-mid-job salvage -------------------------- *)
 
 let test_crash_mid_job_salvage () =
-  let base = tmp_dir "crash" in
+  Tmp.with_dir "serve-crash" @@ fun base ->
   let clean =
     let pool =
       Serve.Pool.create ~state_dir:(Filename.concat base "clean") ()
@@ -468,7 +496,7 @@ let read_kv path =
                  (String.sub line (i + 1) (String.length line - i - 1)) ))
 
 let test_daemon_once_drains_spool () =
-  let spool = tmp_dir "spool" in
+  Tmp.with_dir "serve-spool" @@ fun spool ->
   let run_once () =
     Serve.Daemon.run
       ~log:(fun _ -> ())
@@ -530,6 +558,8 @@ let suite =
       `Quick test_repeat_served_from_cache;
     Alcotest.test_case "every protocol x job kind runs to a verdict" `Quick
       test_every_protocol_and_kind;
+    Alcotest.test_case "check job streams one line per config" `Quick
+      test_on_config_streams_detail;
     Alcotest.test_case "deadline exit path (6)" `Quick test_deadline_exit;
     Alcotest.test_case "cancel exit paths" `Quick test_cancel_paths;
     Alcotest.test_case "crash mid-job salvaged to the fault-free result"

@@ -33,7 +33,7 @@ let check_stats tag a b =
 let run ~par ?max_states ?snapshot_every ?snapshot_to ?resume_from ?salvage
     ~reduction cfg =
   if par then
-    E.explore_par ~domains:2 ~par_threshold:2 ?max_states ?snapshot_every
+    E.explore_with_stats ~domains:2 ~par_threshold:2 ?max_states ?snapshot_every
       ?snapshot_to ?resume_from ?salvage ~reduction cfg
   else
     E.explore_with_stats ?max_states ?snapshot_every ?snapshot_to
@@ -383,16 +383,18 @@ let test_signal_stop_and_resume () =
    resume completes bit-identically. *)
 let test_signal_stop_parallel () =
   let cfg = cfg_m 3 in
-  let og, os = E.explore_par ~domains:2 ~par_threshold:2 cfg in
+  let og, os = E.explore_with_stats ~domains:2 ~par_threshold:2 cfg in
   let snap = tmp_snap "sigpar" in
   Fun.protect ~finally:Snapshot.reset_stop (fun () ->
       Snapshot.request_stop ();
       let ig, _ =
-        E.explore_par ~domains:2 ~par_threshold:2 ~snapshot_to:snap cfg
+        E.explore_with_stats ~domains:2 ~par_threshold:2 ~snapshot_to:snap cfg
       in
       Alcotest.(check bool) "interrupted par run truncated" false
         ig.E.complete);
-  let rg, rs = E.explore_par ~domains:2 ~par_threshold:2 ~resume_from:snap cfg in
+  let rg, rs =
+    E.explore_with_stats ~domains:2 ~par_threshold:2 ~resume_from:snap cfg
+  in
   check_graph "par after signal stop" og rg;
   check_stats "par after signal stop" os rs;
   Sys.remove snap
@@ -413,9 +415,9 @@ let test_periodic_snapshot_resume () =
   let rg, rs = E.explore_with_stats ~resume_from:snap cfg in
   check_graph "resumed from periodic snapshot" g1 rg;
   check_stats "resumed from periodic snapshot" s1 rs;
-  (* the plain explorer accepts the same options by delegation *)
-  let g2 = E.explore ~resume_from:snap cfg in
-  check_graph "plain explore resumes too" plain g2;
+  (* and the resumed graph is the plain oracle's *)
+  let g2, _ = E.explore_with_stats ~resume_from:snap cfg in
+  check_graph "resume lands on the plain oracle" plain g2;
   Sys.remove snap
 
 let test_cross_explorer_resume () =
@@ -426,11 +428,13 @@ let test_cross_explorer_resume () =
   let snap = tmp_snap "cross" in
   (* sequential snapshot resumed by the parallel explorer *)
   let _ = E.explore_with_stats ~max_states:cut ~snapshot_to:snap cfg in
-  let pg, _ = E.explore_par ~domains:2 ~par_threshold:2 ~resume_from:snap cfg in
+  let pg, _ =
+    E.explore_with_stats ~domains:2 ~par_threshold:2 ~resume_from:snap cfg
+  in
   check_graph "seq snapshot, par resume" og pg;
   (* and the other way around *)
   let _ =
-    E.explore_par ~domains:2 ~par_threshold:2 ~max_states:cut
+    E.explore_with_stats ~domains:2 ~par_threshold:2 ~max_states:cut
       ~snapshot_to:snap cfg
   in
   let sg, _ = E.explore_with_stats ~resume_from:snap cfg in
@@ -467,29 +471,6 @@ let test_corrupt_resume_refused () =
     (fun () -> E.explore_with_stats ~resume_from:snap (cfg_m 3));
   Sys.remove snap
 
-(* ------------------------- memory watermark --------------------------- *)
-
-let test_memory_watermark_keeps_graph () =
-  let cfg = cfg_m 3 in
-  let og, os = E.explore_with_stats cfg in
-  let snap = tmp_snap "watermark" in
-  (* a 0 MB soft limit keeps the watermark permanently tripped: every
-     generation is batch-split and compacted. The graph must not care. *)
-  let wg, ws =
-    E.explore_with_stats ~mem_soft_limit_mb:0 ~snapshot_to:snap cfg
-  in
-  check_graph "degraded run, identical graph" og wg;
-  Alcotest.(check int) "same state count" os.Checker_stats.n_states
-    ws.Checker_stats.n_states;
-  Alcotest.(check int) "same transition count" os.Checker_stats.n_transitions
-    ws.Checker_stats.n_transitions;
-  Alcotest.(check bool) "pressure forced a snapshot" true
-    (Sys.file_exists snap);
-  (* the forced snapshot is itself resumable to the same graph *)
-  let rg, _ = E.explore_with_stats ~resume_from:snap cfg in
-  check_graph "resume from pressure-forced snapshot" og rg;
-  Sys.remove snap
-
 let suite =
   [
     Alcotest.test_case "envelope roundtrip" `Quick test_envelope_roundtrip;
@@ -515,6 +496,4 @@ let suite =
       test_config_mismatch_refused;
     Alcotest.test_case "corrupt snapshot refused on resume" `Quick
       test_corrupt_resume_refused;
-    Alcotest.test_case "memory watermark degrades, graph identical" `Slow
-      test_memory_watermark_keeps_graph;
   ]

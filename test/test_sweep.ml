@@ -23,12 +23,6 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   go 0
 
-let tmp_dir name =
-  let d = Filename.temp_file ("coordsweep-" ^ name) ".d" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
-
 let smoke_2x2 =
   "name = smoke\n\
    kind = check\n\
@@ -116,7 +110,8 @@ let test_parse_rejects () =
 
 let test_smoke_sweep_matches_direct_check () =
   let report =
-    Serve.Sweep.run ~state_dir:(tmp_dir "smoke") (parse_exn smoke_2x2)
+    Tmp.with_dir "sweep-smoke" (fun state_dir ->
+        Serve.Sweep.run ~state_dir (parse_exn smoke_2x2))
   in
   let by_label l =
     List.find (fun (r : Serve.Sweep.row) -> r.label = l) report.rows
@@ -148,9 +143,9 @@ let test_smoke_sweep_matches_direct_check () =
 let test_ungated_sweep_exit () =
   (* no gates configured: a violation cell makes the sweep exit 1 *)
   let report =
-    Serve.Sweep.run
-      ~state_dir:(tmp_dir "ungated")
-      (parse_exn "name = u\nprotocols = mutex\nm = 4\n")
+    Tmp.with_dir "sweep-ungated" (fun state_dir ->
+        Serve.Sweep.run ~state_dir
+          (parse_exn "name = u\nprotocols = mutex\nm = 4\n"))
   in
   Alcotest.(check int) "violation without a gate fails the sweep" 1
     (Serve.Sweep.exit_code report)
@@ -161,9 +156,9 @@ let test_seeded_gate_failure_fails () =
   (* expect pass everywhere, but m = 4 is a known violation: the gate
      must fail and the sweep must exit non-zero *)
   let report =
-    Serve.Sweep.run
-      ~state_dir:(tmp_dir "gate")
-      (parse_exn "name = g\nprotocols = mutex\nm = 3, 4\nexpect = pass\n")
+    Tmp.with_dir "sweep-gate" (fun state_dir ->
+        Serve.Sweep.run ~state_dir
+          (parse_exn "name = g\nprotocols = mutex\nm = 3, 4\nexpect = pass\n"))
   in
   Alcotest.(check int) "one gate failed" 1 report.gates_failed;
   Alcotest.(check int) "seeded gate failure fails the sweep" 1
@@ -190,9 +185,13 @@ let test_seeded_gate_failure_fails () =
 let test_rerun_served_from_cache () =
   let cache = Serve.Cache.create () in
   let spec = parse_exn smoke_2x2 in
-  let first = Serve.Sweep.run ~cache ~state_dir:(tmp_dir "rerun-a") spec in
+  let run () =
+    Tmp.with_dir "sweep-rerun" (fun state_dir ->
+        Serve.Sweep.run ~cache ~state_dir spec)
+  in
+  let first = run () in
   Alcotest.(check bool) "first run explored" true (first.total_explored > 0);
-  let second = Serve.Sweep.run ~cache ~state_dir:(tmp_dir "rerun-b") spec in
+  let second = run () in
   Alcotest.(check int) "re-run explores zero fresh states" 0
     second.total_explored;
   Alcotest.(check int) "every cell served from the cache" second.cells
