@@ -44,8 +44,8 @@ test-list:
 	scripts/test_list.sh
 
 # End-to-end snapshot/resume smoke: truncate + resume vs oracle,
-# SIGTERM mid-exploration, and the `check` exit-code contract
-# (0 clean / 1 violation / 3 truncated / 4 rejected snapshot).
+# SIGTERM mid-exploration, and the exit-code contract (`check`: 0 clean /
+# 1 violation / 3 truncated / 4 rejected snapshot; usage mistakes: 124).
 resume-smoke: build
 	timeout $(RESUME_SMOKE_TIMEOUT) scripts/resume_smoke.sh _build/default/bin/coordctl.exe
 

@@ -1,8 +1,8 @@
 (* Benchmark harness.
 
-   Part 1 regenerates the experiment tables E1-E11 (the paper has no
-   measurement tables of its own - every theorem is an experiment here; see
-   EXPERIMENTS.md). Part 2 runs the bechamel micro-benchmarks B1-B5 that
+   Part 1 regenerates every experiment table of EXPERIMENTS.md (the paper
+   has no measurement tables of its own - every theorem is an experiment
+   here). Part 2 runs the bechamel micro-benchmarks B1-B5 that
    quantify the cost of coordinating *without* prior agreement against the
    named-register baselines:
 
@@ -330,9 +330,8 @@ let checker_stats () =
   Format.printf "%a@.@." Check.Checker_stats.pp par
 
 let () =
-  Format.printf "=== Experiment tables (quick mode; see EXPERIMENTS.md) ===@.@.";
-  Report.Table.render_all Format.std_formatter
-    (Report.Experiments.all Report.Experiments.Quick);
+  Format.printf "=== Experiment tables (see EXPERIMENTS.md) ===@.@.";
+  Report.Table.render_all Format.std_formatter (Report.Experiments.all ());
   checker_stats ();
   Format.printf "=== Micro-benchmarks (bechamel) ===@.@.";
   print_results (benchmark ())

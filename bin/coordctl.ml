@@ -1,6 +1,6 @@
 (* coordctl: command-line driver for the reproduction.
 
-     coordctl tables [-e E4] [--full]       regenerate experiment tables
+     coordctl tables [-e E4]                regenerate experiment tables
      coordctl simulate PROTO [-n N] ...     run a protocol under a schedule
      coordctl check PROTO [-n N] [-m M]     exhaustively model-check
      coordctl chaos PROTO [--crash P@K] ... crash-inject and check survivors
@@ -33,12 +33,6 @@ let default_m proto ~n m =
 let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let reduction_of_flags ~canon ~no_canon =
-  if canon && no_canon then
-    failwith "--canon and --no-canon are mutually exclusive"
-  else if canon then Check.Explore.Canon
-  else Check.Explore.Full
 
 let canon_note (module X : Protocols.ENTRY) ~n reduction =
   let module E = Check.Explore.Make (X.P) in
@@ -145,9 +139,9 @@ let simulate proto n m seed steps show_trace =
    (corrupt, wrong version, or fingerprint mismatch with every swept
    configuration); 6 the --deadline expired (graceful stop at a
    generation boundary, snapshot flushed). *)
-let check proto n m par domains stats canon no_canon max_states snapshot_dir
+let check proto n m par domains stats canon max_states snapshot_dir
     snapshot_every resume deadline salvage inject =
-  let reduction = reduction_of_flags ~canon ~no_canon in
+  let reduction = if canon then Check.Explore.Canon else Check.Explore.Full in
   let m = default_m proto ~n m in
   let spec =
     Spec.make ~n ~m ~reduction
@@ -239,64 +233,41 @@ let symmetry n m show_trace =
         trace);
   Ok 0
 
+(* The §6 covering construction against [P], with [P]'s own value and
+   output printers for the trace. *)
+module Cover (P : Protocol.PROTOCOL) = struct
+  module Cov = Lowerbound.Covering.Make (P)
+
+  let run ~m ~q_input ~recruit_input show_trace =
+    match Cov.construct ~m ~q_input ~recruit_input () with
+    | Error e -> Format.printf "construction failed: %s@." e
+    | Ok o ->
+      Format.printf "write set {%s}; q %a; recruit %d %a via %s@."
+        (String.concat "," (List.map string_of_int o.write_set))
+        Cov.pp_success o.q_success (o.p_proc - 1) Cov.pp_success o.p_success
+        o.z_schedule_note;
+      if show_trace then
+        Format.printf "%a@."
+          (Trace.pp ~pp_value:P.Value.pp ~pp_output:P.pp_output)
+          o.trace
+end
+
 let covering (proto : Spec.proto) m show_trace =
   (match proto with
   | Mutex ->
-    let module Cov = Lowerbound.Covering.Make (Coord.Amutex.P) in
-    (match Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) () with
-    | Error e -> Format.printf "construction failed: %s@." e
-    | Ok o ->
-      Format.printf "write set {%s}; q %a; recruit %d %a via %s@."
-        (String.concat "," (List.map string_of_int o.write_set))
-        Cov.pp_success o.q_success (o.p_proc - 1) Cov.pp_success o.p_success
-        o.z_schedule_note;
-      if show_trace then
-        Format.printf "%a@."
-          (Trace.pp ~pp_value:Format.pp_print_int ~pp_output:Empty.pp)
-          o.trace)
+    let module C = Cover (Coord.Amutex.P) in
+    C.run ~m ~q_input:() ~recruit_input:(fun _ -> ()) show_trace
   | Cmp_mutex ->
-    let module Cov = Lowerbound.Covering.Make (Coord.Cmp_mutex.P) in
-    (match Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) () with
-    | Error e -> Format.printf "construction failed: %s@." e
-    | Ok o ->
-      Format.printf "write set {%s}; q %a; recruit %d %a via %s@."
-        (String.concat "," (List.map string_of_int o.write_set))
-        Cov.pp_success o.q_success (o.p_proc - 1) Cov.pp_success o.p_success
-        o.z_schedule_note;
-      if show_trace then
-        Format.printf "%a@."
-          (Trace.pp ~pp_value:Format.pp_print_int ~pp_output:Empty.pp)
-          o.trace)
+    let module C = Cover (Coord.Cmp_mutex.P) in
+    C.run ~m ~q_input:() ~recruit_input:(fun _ -> ()) show_trace
   | Consensus | Election ->
-    let module C2 = Wrap.Fix_n (Coord.Consensus.P) (struct let n = 2 end) in
-    let module Cov = Lowerbound.Covering.Make (C2) in
-    (match Cov.construct ~m ~q_input:100 ~recruit_input:(fun _ -> 200) () with
-    | Error e -> Format.printf "construction failed: %s@." e
-    | Ok o ->
-      Format.printf "write set {%s}; q %a; recruit %d %a via %s@."
-        (String.concat "," (List.map string_of_int o.write_set))
-        Cov.pp_success o.q_success (o.p_proc - 1) Cov.pp_success o.p_success
-        o.z_schedule_note;
-      if show_trace then
-        Format.printf "%a@."
-          (Trace.pp ~pp_value:Coord.Consensus.Value.pp
-             ~pp_output:Format.pp_print_int)
-          o.trace)
+    let module C =
+      Cover (Wrap.Fix_n (Coord.Consensus.P) (struct let n = 2 end)) in
+    C.run ~m ~q_input:100 ~recruit_input:(fun _ -> 200) show_trace
   | Renaming ->
-    let module R2 = Wrap.Fix_n (Coord.Renaming.P) (struct let n = 2 end) in
-    let module Cov = Lowerbound.Covering.Make (R2) in
-    (match Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) () with
-    | Error e -> Format.printf "construction failed: %s@." e
-    | Ok o ->
-      Format.printf "write set {%s}; q %a; recruit %d %a via %s@."
-        (String.concat "," (List.map string_of_int o.write_set))
-        Cov.pp_success o.q_success (o.p_proc - 1) Cov.pp_success o.p_success
-        o.z_schedule_note;
-      if show_trace then
-        Format.printf "%a@."
-          (Trace.pp ~pp_value:Coord.Renaming.Value.pp
-             ~pp_output:Format.pp_print_int)
-          o.trace)
+    let module C =
+      Cover (Wrap.Fix_n (Coord.Renaming.P) (struct let n = 2 end)) in
+    C.run ~m ~q_input:() ~recruit_input:(fun _ -> ()) show_trace
   | Ccp -> Format.printf "covering targets read/write protocols only@.");
   Ok 0
 
@@ -456,54 +427,55 @@ let chaos (proto : Spec.proto) n m seed attempts prefix_steps crashes crash_cs
           Fault.Crash_and_rejoin { proc; after; rejoin_delay })
         rejoins
   in
-  List.iter
-    (fun e ->
-      let p =
-        match e with
+  let named =
+    List.map
+      (function
         | Fault.Crash_at_step { proc; _ }
         | Fault.Crash_in_critical { proc }
         | Fault.Crash_and_rejoin { proc; _ } ->
-          proc
-      in
-      if p < 0 || p >= n then failwith (str "crash spec names p%d but n=%d" p n))
-    plan;
-  let bad =
-    match proto with
-    | Mutex ->
-      let module C = ChaosMutex (Coord.Amutex.P) in
-      C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
-    | Cmp_mutex ->
-      let module C = ChaosMutex (Coord.Cmp_mutex.P) in
-      C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
-    | Consensus ->
-      let module C = ChaosDecide (Coord.Consensus.P) in
-      C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
-        ~inputs:(List.init n (fun i -> (i + 1) * 100))
-        ()
-    | Election ->
-      let module C = ChaosDecide (Coord.Election.P) in
-      C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
-        ~inputs:(List.init n (fun _ -> ()))
-        ()
-    | Renaming ->
-      let module C = ChaosDecide (Coord.Renaming.P) in
-      C.run ~distinct:true ~n ~m ~seed ~attempts ~prefix_steps ~plan
-        ~inputs:(List.init n (fun _ -> ()))
-        ()
-    | Ccp ->
-      let module C = ChaosDecide (Coord.Ccp.P) in
-      C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
-        ~inputs:(List.init n (fun _ -> ()))
-        ()
+          proc)
+      plan
   in
-  if bad then begin
-    Format.printf "RESULT: violations found.@.";
-    Ok 1
-  end
-  else begin
-    Format.printf "RESULT: survivors coped with every crash.@.";
-    Ok 0
-  end
+  match List.find_opt (fun p -> p < 0 || p >= n) named with
+  | Some p -> Error (`Msg (str "crash spec names p%d but n=%d" p n))
+  | None ->
+    let bad =
+      match proto with
+      | Mutex ->
+        let module C = ChaosMutex (Coord.Amutex.P) in
+        C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
+      | Cmp_mutex ->
+        let module C = ChaosMutex (Coord.Cmp_mutex.P) in
+        C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
+      | Consensus ->
+        let module C = ChaosDecide (Coord.Consensus.P) in
+        C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
+          ~inputs:(List.init n (fun i -> (i + 1) * 100))
+          ()
+      | Election ->
+        let module C = ChaosDecide (Coord.Election.P) in
+        C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
+          ~inputs:(List.init n (fun _ -> ()))
+          ()
+      | Renaming ->
+        let module C = ChaosDecide (Coord.Renaming.P) in
+        C.run ~distinct:true ~n ~m ~seed ~attempts ~prefix_steps ~plan
+          ~inputs:(List.init n (fun _ -> ()))
+          ()
+      | Ccp ->
+        let module C = ChaosDecide (Coord.Ccp.P) in
+        C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
+          ~inputs:(List.init n (fun _ -> ()))
+          ()
+    in
+    if bad then begin
+      Format.printf "RESULT: violations found.@.";
+      Ok 1
+    end
+    else begin
+      Format.printf "RESULT: survivors coped with every crash.@.";
+      Ok 0
+    end
 
 (* ------------------------------------------------------------------ *)
 (* fuzz / shrink                                                       *)
@@ -680,21 +652,17 @@ let graph proto n m output =
 (* tables                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let tables ids full =
-  let speed = if full then Report.Experiments.Full else Quick in
-  let selected =
-    match ids with
-    | [] -> Report.Experiments.all speed
-    | ids ->
-      List.concat_map
-        (fun id ->
-          match Report.Experiments.by_id id with
-          | Some f -> f speed
-          | None -> failwith (str "unknown experiment %S" id))
-        ids
-  in
-  Report.Table.render_all Format.std_formatter selected;
-  Ok 0
+let tables ids =
+  match List.find_opt (fun id -> Report.Experiments.by_id id = None) ids with
+  | Some id -> Error (`Msg (str "unknown experiment %S" id))
+  | None ->
+    let runs =
+      if ids = [] then List.map snd Report.Experiments.registry
+      else List.filter_map Report.Experiments.by_id ids
+    in
+    Report.Table.render_all Format.std_formatter
+      (List.concat_map (fun run -> run ()) runs);
+    Ok 0
 
 (* ------------------------------------------------------------------ *)
 (* explore / bench                                                     *)
@@ -720,9 +688,6 @@ module Xpl (P : Protocol.PROTOCOL) = struct
       ~snapshot_to ~snapshot_every ~resume_from ~deadline_s ~salvage
       ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
     let cfg = config ~n ~m ~rot ~inputs in
-    if disk_visited <> None && par then
-      failwith
-        "--disk-visited is a sequential external-memory mode; drop --par";
     let run ~resume_from ~snapshot_to =
       match disk_visited with
       | Some dir ->
@@ -785,49 +750,52 @@ module Xpl (P : Protocol.PROTOCOL) = struct
         (if full.Check.Checker_stats.complete then "" else " (full truncated)")
 end
 
-let explore proto n m rot par domains canon no_canon max_states depths
-    snapshot_to snapshot_every resume_from deadline_s salvage inject
-    disk_faults disk_quota disk_visited disk_hot_cap =
-  let reduction = reduction_of_flags ~canon ~no_canon in
-  let m = default_m proto ~n m in
-  let entry = Protocols.find proto in
-  let module X = (val entry) in
-  let module Y = Xpl (X.P) in
-  (* --inject-faults on explore mirrors `check`: --disk-faults widens the
-     plan pool with storage faults (DESIGN.md §14) *)
-  with_faults ?domains ~disk:disk_faults inject @@ fun private_dir ->
-  canon_note entry ~n reduction;
-  let faults = inject <> None in
-  let snapshot_to =
-    match (snapshot_to, private_dir) with
-    | None, Some dir -> Some (Filename.concat dir (str "%s.snap" X.P.name))
-    | _ -> snapshot_to
-  in
-  let body () =
-    match
-      Y.explore ~n ~m ~rot ~inputs:(X.explore_inputs ~n) ~reduction ~par
-        ~domains ~max_states ~depths ~snapshot_to
-        ~snapshot_every:
-          (if faults && snapshot_every = None then Some 1 else snapshot_every)
-        ~resume_from ~deadline_s ~salvage:(salvage || faults) ~disk_visited
-        ~disk_hot_cap ~disk_quota ~recover:faults
-    with
-    | exception Check.Snapshot.Error e ->
-      Format.eprintf "coordctl: snapshot rejected: %s@."
-        (Check.Snapshot.error_message e);
-      Ok 4
-    | st ->
-      if st.Check.Checker_stats.stop = Check.Checker_stats.Deadline then Ok 6
-      else Ok 0
-  in
-  if snapshot_to <> None then Check.Snapshot.with_signal_handlers body
-  else body ()
+let explore proto n m rot par domains canon max_states depths snapshot_to
+    snapshot_every resume_from deadline_s salvage inject disk_faults disk_quota
+    disk_visited disk_hot_cap =
+  if disk_visited <> None && par then
+    Error
+      (`Msg "--disk-visited is a sequential external-memory mode; drop --par")
+  else
+    let reduction = if canon then Check.Explore.Canon else Check.Explore.Full in
+    let m = default_m proto ~n m in
+    let entry = Protocols.find proto in
+    let module X = (val entry) in
+    let module Y = Xpl (X.P) in
+    (* --inject-faults on explore mirrors `check`: --disk-faults widens the
+       plan pool with storage faults (DESIGN.md §14) *)
+    with_faults ?domains ~disk:disk_faults inject @@ fun private_dir ->
+    canon_note entry ~n reduction;
+    let faults = inject <> None in
+    let snapshot_to =
+      match (snapshot_to, private_dir) with
+      | None, Some dir -> Some (Filename.concat dir (str "%s.snap" X.P.name))
+      | _ -> snapshot_to
+    in
+    let body () =
+      match
+        Y.explore ~n ~m ~rot ~inputs:(X.explore_inputs ~n) ~reduction ~par
+          ~domains ~max_states ~depths ~snapshot_to
+          ~snapshot_every:
+            (if faults && snapshot_every = None then Some 1 else snapshot_every)
+          ~resume_from ~deadline_s ~salvage:(salvage || faults) ~disk_visited
+          ~disk_hot_cap ~disk_quota ~recover:faults
+      with
+      | exception Check.Snapshot.Error e ->
+        Format.eprintf "coordctl: snapshot rejected: %s@."
+          (Check.Snapshot.error_message e);
+        Ok 4
+      | st ->
+        if st.Check.Checker_stats.stop = Check.Checker_stats.Deadline then Ok 6
+        else Ok 0
+    in
+    if snapshot_to <> None then Check.Snapshot.with_signal_handlers body
+    else body ()
 
-let bench n canon no_canon max_states =
+let bench n no_canon max_states =
+  (* bench shows the quotient by default; --no-canon drops it *)
   let reduction =
-    (* bench defaults to showing the quotient; --no-canon drops it *)
-    if no_canon then Check.Explore.Full
-    else (ignore canon; Check.Explore.Canon)
+    if no_canon then Check.Explore.Full else Check.Explore.Canon
   in
   let max_states = Some (Option.value max_states ~default:500_000) in
   List.iter
@@ -922,12 +890,6 @@ let canon_arg =
           "Explore the symmetry quotient: canonicalize every state under \
            the admissible register/process permutations. Sound — verdicts \
            match the full graph (DESIGN.md §9).")
-
-let no_canon_arg =
-  Arg.(
-    value & flag
-    & info [ "no-canon" ]
-        ~doc:"Explicitly explore the full (unreduced) state graph.")
 
 let max_states_arg =
   Arg.(
@@ -1060,7 +1022,7 @@ let check_cmd =
     Term.(
       term_result
         (const check $ proto_arg $ n_arg $ m_arg $ par_arg $ domains_arg
-       $ stats_arg $ canon_arg $ no_canon_arg $ max_states_arg
+       $ stats_arg $ canon_arg $ max_states_arg
        $ snapshot_dir_arg $ snapshot_every_arg $ resume_arg $ deadline_arg
        $ salvage_arg $ inject_arg))
 
@@ -1151,7 +1113,7 @@ let explore_cmd =
     Term.(
       term_result
         (const explore $ proto_arg $ n_arg $ m_arg $ rot $ par_arg
-       $ domains_arg $ canon_arg $ no_canon_arg $ max_states $ depths
+       $ domains_arg $ canon_arg $ max_states $ depths
        $ snapshot $ snapshot_every_arg $ resume_arg $ deadline_arg
        $ salvage_arg $ inject_arg $ disk_faults
        $ disk_quota $ disk_visited $ disk_hot_cap))
@@ -1165,10 +1127,16 @@ let bench_cmd =
       & info [ "max-states" ] ~docv:"B"
           ~doc:"State budget per exploration (default 500000).")
   in
+  let no_canon =
+    Arg.(
+      value & flag
+      & info [ "no-canon" ]
+          ~doc:"Explore the full graph only, without the symmetry quotient.")
+  in
   Cmd.v
     (Cmd.info "bench" ~doc)
     Term.(
-      term_result (const bench $ n_arg $ canon_arg $ no_canon_arg $ max_states))
+      term_result (const bench $ n_arg $ no_canon $ max_states))
 
 let symmetry_cmd =
   let doc = "run the Theorem 3.4 lock-step symmetry adversary on Figure 1" in
@@ -1366,10 +1334,7 @@ let tables_cmd =
       value & opt_all string []
       & info [ "e" ] ~docv:"ID" ~doc:"Experiment id (repeatable), e.g. E4.")
   in
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Wider sweeps (slower).")
-  in
-  Cmd.v (Cmd.info "tables" ~doc) Term.(term_result (const tables $ ids $ full))
+  Cmd.v (Cmd.info "tables" ~doc) Term.(term_result (const tables $ ids))
 
 (* ------------------------------------------------------------------ *)
 (* serve / sweep: the job-queue verification service                   *)

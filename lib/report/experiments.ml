@@ -1,12 +1,10 @@
 open Anonmem
 
-type speed = Quick | Full
-
-(* Explorer / runtime / adversary instances for every protocol under test. *)
+(* Explorer / runtime / adversary instances for the protocols, variants
+   and properties the protocol table (Serve.Protocols) does not hold:
+   Fig 1's starvation check and violating-state index (E12, E16), the
+   named baselines and the campaigns. *)
 module EMutex = Check.Explore.Make (Coord.Amutex.P)
-module ECons = Check.Explore.Make (Coord.Consensus.P)
-module EElec = Check.Explore.Make (Coord.Election.P)
-module ERen = Check.Explore.Make (Coord.Renaming.P)
 module EPet = Check.Explore.Make (Baseline.Peterson.P)
 module EBurns = Check.Explore.Make (Baseline.Burns.P)
 module ETour = Check.Explore.Make (Baseline.Tournament.P)
@@ -25,66 +23,109 @@ let ok_or tag = function None -> "ok" | Some _ -> tag
 let str = Printf.sprintf
 
 (* ------------------------------------------------------------------ *)
+(* The verdict path: protocols of the table, judged by the table       *)
+(* ------------------------------------------------------------------ *)
+
+type judged = {
+  max_states : int;
+  violations : (string * int) list;
+      (* per verdict label, in the entry's order: how many tuples
+         violate it *)
+  stats : Check.Checker_stats.t list;  (* per tuple, in order *)
+}
+
+(* The runner's explore-and-judge step without slices, cache or
+   checkpoints: explore [proto] under each naming tuple with the table's
+   ids and inputs ([explore_inputs]: the configuration `coordctl
+   explore` builds) and judge each graph with the entry's verdicts, as
+   `coordctl check` does. A truncated exploration fails the table. *)
+let judge ?(reduction = Check.Explore.Full) ?(explore_inputs = false) proto
+    ~n namings =
+  let module X = (val Serve.Protocols.find proto) in
+  let module E = Check.Explore.Make (X.P) in
+  let inputs = if explore_inputs then X.explore_inputs ~n else X.inputs ~n in
+  let judged =
+    List.map
+      (fun namings ->
+        let g, st =
+          E.explore_with_stats ~reduction
+            { E.ids = Serve.Protocols.ids ~n; inputs; namings }
+        in
+        if not g.E.complete then
+          failwith
+            (str "%s: exploration truncated at %d states" X.P.name
+               st.Check.Checker_stats.n_states);
+        (st, X.verdicts g))
+      namings
+  in
+  let stats = List.map fst judged in
+  {
+    max_states =
+      List.fold_left (fun acc s -> max acc s.Check.Checker_stats.n_states) 0
+        stats;
+    violations =
+      List.map
+        (fun (label, _) ->
+          ( label,
+            List.length
+              (List.filter (fun (_, vs) -> not (List.assoc label vs)) judged)
+          ))
+        (snd (List.hd judged));
+    stats;
+  }
+
+let verdict_cells j =
+  let tuples = List.length j.stats in
+  List.map
+    (fun (_, k) -> if k = 0 then "ok" else str "VIOLATED (%d/%d)" k tuples)
+    j.violations
+
+(* One row per [(lead, namings, tail)] case: the lead cells, the number
+   of naming tuples, the largest state count, one cell per verdict label
+   and the tail cells. Returns the verdict labels, which head the verdict
+   columns, and the rows. *)
+let judged_rows proto ~n cases =
+  let rows =
+    List.map
+      (fun (lead, namings, tail) ->
+        let j = judge proto ~n namings in
+        ( List.map fst j.violations,
+          lead
+          @ [ string_of_int (List.length namings); string_of_int j.max_states ]
+          @ verdict_cells j @ tail ))
+      cases
+  in
+  (fst (List.hd rows), List.map snd rows)
+
+(* all m! relative namings of a two-process instance, process 0 fixed *)
+let all_namings m = Serve.Protocols.namings_under_test ~n:2 ~m
+
+(* ------------------------------------------------------------------ *)
 (* E1: Figure 1 is a correct two-process mutex for odd m               *)
 (* ------------------------------------------------------------------ *)
 
-let mutex_naming_sweep ~m namings =
-  let states = ref 0 in
-  let me_bad = ref 0 in
-  let df_bad = ref 0 in
-  List.iter
-    (fun nam ->
-      let cfg : EMutex.config =
-        {
-          ids = [| 7; 13 |];
-          inputs = [| (); () |];
-          namings = [| Naming.identity m; nam |];
-        }
-      in
-      let g = EMutex.explore cfg in
-      assert g.complete;
-      states := max !states (Array.length g.states);
-      let f = EMutex.to_flat g in
-      if Check.Mutex_props.mutual_exclusion f <> None then incr me_bad;
-      if Check.Mutex_props.deadlock_freedom f <> None then incr df_bad)
-    namings;
-  (!states, !me_bad, !df_bad)
-
-let e1_mutex_model_check speed =
-  let cases =
-    match speed with
-    | Quick ->
-      [
-        (3, Naming.all 3);
-        ( 5,
-          Naming.identity 5
-          :: List.init 4 (fun d -> Naming.rotation 5 (d + 1))
-          @ [ Naming.random (Rng.create 1) 5; Naming.random (Rng.create 2) 5 ] );
-      ]
-    | Full -> [ (3, Naming.all 3); (5, Naming.all 5) ]
+let e1_mutex_model_check () =
+  (* at m=5: the identity, the four rotations and two seeded namings *)
+  let m5 =
+    Naming.identity 5
+    :: List.init 4 (fun d -> Naming.rotation 5 (d + 1))
+    @ [ Naming.random (Rng.create 1) 5; Naming.random (Rng.create 2) 5 ]
   in
-  let rows =
-    List.map
-      (fun (m, namings) ->
-        let states, me_bad, df_bad = mutex_naming_sweep ~m namings in
-        [
-          string_of_int m;
-          string_of_int (List.length namings);
-          string_of_int states;
-          (if me_bad = 0 then "ok" else str "VIOLATED(%d)" me_bad);
-          (if df_bad = 0 then "ok" else str "VIOLATED(%d)" df_bad);
-          "safe + deadlock-free";
-        ])
-      cases
+  let labels, rows =
+    judged_rows Serve.Spec.Mutex ~n:2
+      [
+        ([ "3" ], all_namings 3, [ "safe + deadlock-free" ]);
+        ( [ "5" ],
+          List.map (fun nam -> [| Naming.identity 5; nam |]) m5,
+          [ "safe + deadlock-free" ] );
+      ]
   in
   [
     Table.make ~id:"E1"
       ~title:
         "Fig 1 mutex, n=2, odd m: exhaustive model check over relative \
          namings (Thm 3.1-3.3)"
-      ~header:
-        [ "m"; "namings"; "max states"; "mutual excl"; "deadlock-free";
-          "paper" ]
+      ~header:([ "m"; "namings"; "max states" ] @ labels @ [ "paper" ])
       ~notes:
         [
           "Process 0's naming is fixed to the identity WLOG (physical \
@@ -97,8 +138,7 @@ let e1_mutex_model_check speed =
 (* E2: even m fails                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let e2_even_m speed =
-  let exhaustive_upto = match speed with Quick -> 4 | Full -> 6 in
+let e2_even_m () =
   let rows =
     List.map
       (fun m ->
@@ -111,15 +151,17 @@ let e2_even_m speed =
               (Format.asprintf "%a" Lowerbound.Symmetry.pp_verdict v)
           | None -> "no witness"
         in
+        (* both labels: mutual exclusion holds, deadlock freedom fails *)
         let exhaustive =
-          if m <= exhaustive_upto then begin
-            let _, me_bad, df_bad =
-              mutex_naming_sweep ~m [ Naming.rotation m (m / 2) ]
+          if m <= 4 then
+            let j =
+              judge Serve.Spec.Mutex ~n:2
+                [ [| Naming.identity m; Naming.rotation m (m / 2) |] ]
             in
-            str "ME %s, DF %s"
-              (if me_bad = 0 then "ok" else "VIOLATED")
-              (if df_bad = 0 then "ok (BAD)" else "violated as predicted")
-          end
+            String.concat ", "
+              (List.map2
+                 (fun (label, _) cell -> label ^ " " ^ cell)
+                 j.violations (verdict_cells j))
           else "(skipped)"
         in
         [ string_of_int m; attack; exhaustive ])
@@ -141,7 +183,7 @@ let e2_even_m speed =
 (* E3: the gcd grid of Theorem 3.4                                     *)
 (* ------------------------------------------------------------------ *)
 
-let e3_gcd_grid _speed =
+let e3_gcd_grid () =
   let ms = [ 2; 3; 4; 5; 6; 7; 8; 9 ] in
   let rows =
     List.map
@@ -183,29 +225,10 @@ let e3_gcd_grid _speed =
 (* E4/E5: consensus and election                                       *)
 (* ------------------------------------------------------------------ *)
 
-let decision_task_model_check (type graph) ~name
-    ~(explore : Naming.t -> graph)
-    ~(states : graph -> int) ~(agreement : graph -> bool)
-    ~(validity : graph -> bool) ~(obstruction_free : graph -> bool) () =
-  ignore name;
-  let namings = Naming.all 3 in
-  let total = ref 0 in
-  let agree_bad = ref 0 in
-  let valid_bad = ref 0 in
-  let of_bad = ref 0 in
-  List.iter
-    (fun nam ->
-      let g = explore nam in
-      total := max !total (states g);
-      if not (agreement g) then incr agree_bad;
-      if not (validity g) then incr valid_bad;
-      if not (obstruction_free g) then incr of_bad)
-    namings;
-  ( List.length namings,
-    !total,
-    ok_or "VIOLATED" (if !agree_bad = 0 then None else Some ()),
-    ok_or "VIOLATED" (if !valid_bad = 0 then None else Some ()),
-    ok_or "STUCK" (if !of_bad = 0 then None else Some ()) )
+(* E4a, E5a, E6a: the n=2, m=3 instance under all six relative namings *)
+let task_model_check ~id ~title proto =
+  let labels, rows = judged_rows proto ~n:2 [ ([], all_namings 3, []) ] in
+  Table.make ~id ~title ~header:([ "namings"; "max states" ] @ labels) rows
 
 let consensus_campaign ~runs ~n =
   let m = (2 * n) - 1 in
@@ -240,40 +263,13 @@ let consensus_campaign ~runs ~n =
   done;
   (!bad, Stats.summarize !steps)
 
-let e4_consensus speed =
-  let explore nam =
-    ECons.explore
-      {
-        ids = [| 7; 13 |];
-        inputs = [| 100; 200 |];
-        namings = [| Naming.identity 3; nam |];
-      }
-  in
-  let namings, states, agree, valid, ofree =
-    decision_task_model_check ~name:"consensus" ~explore
-      ~states:(fun (g : ECons.graph) -> Array.length g.states)
-      ~agreement:(fun g ->
-        Check.Props.agreement ~equal:Int.equal ~statuses:ECons.statuses
-          g.states
-        = None)
-      ~validity:(fun g ->
-        Check.Props.validity
-          ~allowed:(fun v -> v = 100 || v = 200)
-          ~statuses:ECons.statuses g.states
-        = None)
-      ~obstruction_free:(fun g -> ECons.check_obstruction_freedom g = None)
-      ()
-  in
+let e4_consensus () =
   let mc =
-    Table.make ~id:"E4a"
+    task_model_check ~id:"E4a"
       ~title:"Fig 2 consensus, n=2 (m=3): exhaustive model check (Thm 4.1/4.2)"
-      ~header:
-        [ "namings"; "max states"; "agreement"; "validity"; "OF-termination" ]
-      [
-        [ string_of_int namings; string_of_int states; agree; valid; ofree ];
-      ]
+      Serve.Spec.Consensus
   in
-  let runs = match speed with Quick -> 100 | Full -> 500 in
+  let runs = 100 in
   let rows =
     List.map
       (fun n ->
@@ -299,44 +295,14 @@ let e4_consensus speed =
   in
   [ mc; campaign ]
 
-let e5_election speed =
-  let explore nam =
-    EElec.explore
-      {
-        ids = [| 7; 13 |];
-        inputs = [| (); () |];
-        namings = [| Naming.identity 3; nam |];
-      }
-  in
-  let namings, states, agree, valid, ofree =
-    decision_task_model_check ~name:"election" ~explore
-      ~states:(fun (g : EElec.graph) -> Array.length g.states)
-      ~agreement:(fun g ->
-        Check.Props.agreement ~equal:Int.equal ~statuses:EElec.statuses
-          g.states
-        = None)
-      ~validity:(fun g ->
-        Check.Props.validity
-          ~allowed:(fun v -> v = 7 || v = 13)
-          ~statuses:EElec.statuses g.states
-        = None)
-      ~obstruction_free:(fun g -> EElec.check_obstruction_freedom g = None)
-      ()
-  in
+let e5_election () =
   let mc =
-    Table.make ~id:"E5a"
+    task_model_check ~id:"E5a"
       ~title:
         "Election via consensus-on-ids, n=2: exhaustive model check (§4 note)"
-      ~header:
-        [
-          "namings"; "max states"; "one leader"; "leader participates";
-          "OF-termination";
-        ]
-      [
-        [ string_of_int namings; string_of_int states; agree; valid; ofree ];
-      ]
+      Serve.Spec.Election
   in
-  let runs = match speed with Quick -> 100 | Full -> 400 in
+  let runs = 100 in
   let rows =
     List.map
       (fun n ->
@@ -441,54 +407,15 @@ let renaming_campaign ~runs ~n ~k =
   done;
   (!bad, Stats.summarize !steps)
 
-let e6_renaming speed =
-  let explore nam =
-    ERen.explore
-      {
-        ids = [| 7; 13 |];
-        inputs = [| (); () |];
-        namings = [| Naming.identity 3; nam |];
-      }
-  in
-  let total = ref 0 in
-  let uniq_bad = ref 0 in
-  let adapt_bad = ref 0 in
-  let of_bad = ref 0 in
-  List.iter
-    (fun nam ->
-      let g = explore nam in
-      total := max !total (Array.length g.states);
-      if
-        Check.Props.distinct_outputs ~equal:Int.equal ~statuses:ERen.statuses
-          g.states
-        <> None
-      then incr uniq_bad;
-      if
-        Check.Props.adaptive_range ~name_of:Fun.id ~statuses:ERen.statuses
-          g.states
-        <> None
-      then incr adapt_bad;
-      if ERen.check_obstruction_freedom g <> None then incr of_bad)
-    (Naming.all 3);
+let e6_renaming () =
   let mc =
-    Table.make ~id:"E6a"
+    task_model_check ~id:"E6a"
       ~title:
         "Fig 3 adaptive perfect renaming, n=2: exhaustive model check \
          (Thm 5.1-5.3)"
-      ~header:
-        [ "namings"; "max states"; "uniqueness"; "adaptivity";
-          "OF-termination" ]
-      [
-        [
-          "6";
-          string_of_int !total;
-          (if !uniq_bad = 0 then "ok" else "VIOLATED");
-          (if !adapt_bad = 0 then "ok" else "VIOLATED");
-          (if !of_bad = 0 then "ok" else "STUCK");
-        ];
-      ]
+      Serve.Spec.Renaming
   in
-  let runs = match speed with Quick -> 60 | Full -> 300 in
+  let runs = 60 in
   let rows =
     List.concat_map
       (fun n ->
@@ -524,8 +451,7 @@ let e6_renaming speed =
 (* E7/E8/E9: the covering adversary                                    *)
 (* ------------------------------------------------------------------ *)
 
-let e7_covering_mutex speed =
-  let ms = match speed with Quick -> [ 3; 5 ] | Full -> [ 3; 5; 7 ] in
+let e7_covering_mutex () =
   let rows =
     List.map
       (fun m ->
@@ -542,7 +468,7 @@ let e7_covering_mutex speed =
               (Format.asprintf "%a" CovMutex.pp_success o.p_success);
             o.z_schedule_note;
           ])
-      ms
+      [ 3; 5 ]
   in
   [
     Table.make ~id:"E7"
@@ -553,139 +479,65 @@ let e7_covering_mutex speed =
       rows;
   ]
 
-let e8_covering_consensus speed =
-  let unknown_row =
-    let module C2 = Wrap.Fix_n (Coord.Consensus.P) (struct let n = 2 end) in
-    let module Cov = Lowerbound.Covering.Make (C2) in
-    match Cov.construct ~m:3 ~q_input:100 ~recruit_input:(fun _ -> 200) () with
-    | Error e -> [ "unknown n (design n=2, m=3)"; "-"; "-"; str "FAILED: %s" e ]
-    | Ok o ->
-      [
-        "unknown n (design n=2, m=3)";
-        Format.asprintf "%a" Cov.pp_success o.q_success;
-        Format.asprintf "%a" Cov.pp_success o.p_success;
-        "agreement violated";
-      ]
-  in
-  let ns = match speed with Quick -> [ 2; 3; 4 ] | Full -> [ 2; 3; 4; 5; 6 ] in
-  let space_rows =
-    List.map
-      (fun n ->
-        let m = n - 1 in
-        let row =
-          match n with
-          | 2 ->
-            let module C = Wrap.Fix_n (Coord.Consensus.P) (struct let n = 2 end) in
-            let module Cov = Lowerbound.Covering.Make (C) in
-            Cov.construct ~m ~q_input:100 ~recruit_input:(fun _ -> 200) ()
-            |> Result.map (fun (o : Cov.outcome) ->
-                   ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                     Format.asprintf "%a" Cov.pp_success o.p_success ))
-          | 3 ->
-            let module C = Wrap.Fix_n (Coord.Consensus.P) (struct let n = 3 end) in
-            let module Cov = Lowerbound.Covering.Make (C) in
-            Cov.construct ~m ~q_input:100 ~recruit_input:(fun _ -> 200) ()
-            |> Result.map (fun (o : Cov.outcome) ->
-                   ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                     Format.asprintf "%a" Cov.pp_success o.p_success ))
-          | 4 ->
-            let module C = Wrap.Fix_n (Coord.Consensus.P) (struct let n = 4 end) in
-            let module Cov = Lowerbound.Covering.Make (C) in
-            Cov.construct ~m ~q_input:100 ~recruit_input:(fun _ -> 200) ()
-            |> Result.map (fun (o : Cov.outcome) ->
-                   ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                     Format.asprintf "%a" Cov.pp_success o.p_success ))
-          | 5 ->
-            let module C = Wrap.Fix_n (Coord.Consensus.P) (struct let n = 5 end) in
-            let module Cov = Lowerbound.Covering.Make (C) in
-            Cov.construct ~m ~q_input:100 ~recruit_input:(fun _ -> 200) ()
-            |> Result.map (fun (o : Cov.outcome) ->
-                   ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                     Format.asprintf "%a" Cov.pp_success o.p_success ))
-          | _ ->
-            let module C = Wrap.Fix_n (Coord.Consensus.P) (struct let n = 6 end) in
-            let module Cov = Lowerbound.Covering.Make (C) in
-            Cov.construct ~m ~q_input:100 ~recruit_input:(fun _ -> 200) ()
-            |> Result.map (fun (o : Cov.outcome) ->
-                   ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                     Format.asprintf "%a" Cov.pp_success o.p_success ))
-        in
-        match row with
-        | Error e -> [ str "n=%d, m=n-1=%d" n m; "-"; "-"; str "FAILED: %s" e ]
-        | Ok (q, p) ->
-          [ str "n=%d, m=n-1=%d" n m; q; p; "agreement violated" ])
-      ns
-  in
+(* One E8/E9 row: the covering construction against [P] designed for
+   [n] processes over [m] registers, as the victim's and the recruit's
+   decisions. *)
+let covering_row (type i) (module P : Protocol.PROTOCOL with type input = i)
+    ~(q_input : i) ~recruit_input ~verdict (label, n, m) =
+  let module C = Wrap.Fix_n (P) (struct let n = n end) in
+  let module Cov = Lowerbound.Covering.Make (C) in
+  match Cov.construct ~m ~q_input ~recruit_input () with
+  | Error e -> [ label; "-"; "-"; str "FAILED: %s" e ]
+  | Ok o ->
+    [
+      label;
+      Format.asprintf "%a" Cov.pp_success o.q_success;
+      Format.asprintf "%a" Cov.pp_success o.p_success;
+      verdict;
+    ]
+
+(* the two settings of Thms 6.3 and 6.5, as covering_row cases: more
+   processes than the design's n, and n-1 registers *)
+let unknown_n = ("unknown n (design n=2, m=3)", 2, 3)
+let space_bound n = (str "n=%d, m=n-1=%d" n (n - 1), n, n - 1)
+
+let e8_covering_consensus () =
   [
     Table.make ~id:"E8"
       ~title:
         "Covering adversary vs Fig 2 consensus: unknown n, and n-1 \
          registers (Thm 6.3)"
       ~header:[ "setting"; "victim q decided"; "recruit decided"; "verdict" ]
-      (unknown_row :: space_rows);
+      (List.map
+         (covering_row
+            (module Coord.Consensus.P)
+            ~q_input:100
+            ~recruit_input:(fun _ -> 200)
+            ~verdict:"agreement violated")
+         (unknown_n :: List.map space_bound [ 2; 3; 4 ]));
   ]
 
-let e9_covering_renaming speed =
-  let case ~label ~design_n ~m =
-    let row =
-      match design_n with
-      | 2 ->
-        let module Rn = Wrap.Fix_n (Coord.Renaming.P) (struct let n = 2 end) in
-        let module Cov = Lowerbound.Covering.Make (Rn) in
-        Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) ()
-        |> Result.map (fun (o : Cov.outcome) ->
-               ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                 Format.asprintf "%a" Cov.pp_success o.p_success ))
-      | 3 ->
-        let module Rn = Wrap.Fix_n (Coord.Renaming.P) (struct let n = 3 end) in
-        let module Cov = Lowerbound.Covering.Make (Rn) in
-        Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) ()
-        |> Result.map (fun (o : Cov.outcome) ->
-               ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                 Format.asprintf "%a" Cov.pp_success o.p_success ))
-      | 4 ->
-        let module Rn = Wrap.Fix_n (Coord.Renaming.P) (struct let n = 4 end) in
-        let module Cov = Lowerbound.Covering.Make (Rn) in
-        Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) ()
-        |> Result.map (fun (o : Cov.outcome) ->
-               ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                 Format.asprintf "%a" Cov.pp_success o.p_success ))
-      | _ ->
-        let module Rn = Wrap.Fix_n (Coord.Renaming.P) (struct let n = 5 end) in
-        let module Cov = Lowerbound.Covering.Make (Rn) in
-        Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) ()
-        |> Result.map (fun (o : Cov.outcome) ->
-               ( Format.asprintf "%a" Cov.pp_success o.q_success,
-                 Format.asprintf "%a" Cov.pp_success o.p_success ))
-    in
-    match row with
-    | Error e -> [ label; "-"; "-"; str "FAILED: %s" e ]
-    | Ok (q, p) -> [ label; q; p; "name 1 duplicated" ]
-  in
-  let extra =
-    match speed with
-    | Quick -> []
-    | Full -> [ case ~label:"n=5, m=n-1=4" ~design_n:5 ~m:4 ]
-  in
+let e9_covering_renaming () =
   [
     Table.make ~id:"E9"
       ~title:
         "Covering adversary vs Fig 3 renaming: unknown n, and n-1 registers \
          (Thm 6.5)"
       ~header:[ "setting"; "victim q decided"; "recruit decided"; "verdict" ]
-      ([
-         case ~label:"unknown n (design n=2, m=3)" ~design_n:2 ~m:3;
-         case ~label:"n=3, m=n-1=2" ~design_n:3 ~m:2;
-         case ~label:"n=4, m=n-1=3" ~design_n:4 ~m:3;
-       ]
-      @ extra);
+      (List.map
+         (covering_row
+            (module Coord.Renaming.P)
+            ~q_input:()
+            ~recruit_input:(fun _ -> ())
+            ~verdict:"name 1 duplicated")
+         (unknown_n :: List.map space_bound [ 3; 4 ]));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* E10: what prior agreement buys                                      *)
 (* ------------------------------------------------------------------ *)
 
-let e10_named_baselines speed =
+let e10_named_baselines () =
   let mutex_row name explore_flat =
     let f = explore_flat () in
     [
@@ -694,7 +546,6 @@ let e10_named_baselines speed =
       ok_or "VIOLATED" (Check.Mutex_props.deadlock_freedom f);
     ]
   in
-  let burns_n = match speed with Quick -> [ 2; 3 ] | Full -> [ 2; 3; 4 ] in
   let mutex_rows =
     mutex_row "Peterson (n=2, m=3, named)" (fun () ->
         EPet.to_flat
@@ -710,7 +561,7 @@ let e10_named_baselines speed =
                     (EBurns.config ~ids
                        ~inputs:(List.map (fun _ -> ()) ids)
                        ()))))
-         burns_n
+         [ 2; 3 ]
     @ [
         mutex_row "Tournament of Petersons (n=4, m=3(n-1), named)" (fun () ->
             ETour.to_flat
@@ -853,8 +704,8 @@ module Ccp2 = Ccp_campaign (Ccp_cap2)
 module Ccp4 = Ccp_campaign (Ccp_cap4)
 module Ccp8 = Ccp_campaign (Coord.Ccp.P)
 
-let e11_ccp speed =
-  let runs = match speed with Quick -> 300 | Full -> 2000 in
+let e11_ccp () =
+  let runs = 300 in
   let cap_row cap =
     let failures, steps =
       match cap with
@@ -955,7 +806,7 @@ let e11_ccp speed =
 (* E12: starvation (one of §8's open directions, small-instance data)  *)
 (* ------------------------------------------------------------------ *)
 
-let e12_starvation _speed =
+let e12_starvation () =
   let verdicts f =
     ( ok_or "VIOLATED" (Check.Mutex_props.deadlock_freedom f),
       match Check.Mutex_props.starvation_freedom f with
@@ -1016,49 +867,23 @@ let e12_starvation _speed =
 (* E13: the other symmetry variant (§2): arbitrary comparisons         *)
 (* ------------------------------------------------------------------ *)
 
-module ECmp = Check.Explore.Make (Coord.Cmp_mutex.P)
 module SymCmp = Lowerbound.Symmetry.Make (Coord.Cmp_mutex.P)
 
-let e13_comparisons speed =
-  let ms = match speed with Quick -> [ 2; 3; 4 ] | Full -> [ 2; 3; 4; 5 ] in
-  let rows =
-    List.map
-      (fun m ->
-        let me_bad = ref 0 and df_bad = ref 0 and states = ref 0 in
-        let namings = Naming.all m in
-        List.iter
-          (fun nam ->
-            let g =
-              ECmp.explore
-                {
-                  ids = [| 7; 13 |];
-                  inputs = [| (); () |];
-                  namings = [| Naming.identity m; nam |];
-                }
-            in
-            states := max !states (Array.length g.states);
-            let f = ECmp.to_flat g in
-            if Check.Mutex_props.mutual_exclusion f <> None then incr me_bad;
-            if Check.Mutex_props.deadlock_freedom f <> None then incr df_bad)
-          namings;
-        let lock_step =
-          if m mod 2 = 0 then
-            let v, _ =
-              SymCmp.run ~max_steps:5_000 ~ids:[ 7; 13 ] ~inputs:[ (); () ]
-                ~m ~d:2 ()
-            in
-            Format.asprintf "%a" Lowerbound.Symmetry.pp_verdict v
-          else "n/a (odd m)"
-        in
-        [
-          string_of_int m;
-          string_of_int (List.length namings);
-          string_of_int !states;
-          (if !me_bad = 0 then "ok" else "VIOLATED");
-          (if !df_bad = 0 then "ok" else "VIOLATED");
-          lock_step;
-        ])
-      ms
+let e13_comparisons () =
+  let lock_step m =
+    if m mod 2 = 0 then
+      let v, _ =
+        SymCmp.run ~max_steps:5_000 ~ids:[ 7; 13 ] ~inputs:[ (); () ] ~m ~d:2
+          ()
+      in
+      Format.asprintf "%a" Lowerbound.Symmetry.pp_verdict v
+    else "n/a (odd m)"
+  in
+  let labels, rows =
+    judged_rows Serve.Spec.Cmp_mutex ~n:2
+      (List.map
+         (fun m -> ([ string_of_int m ], all_namings m, [ lock_step m ]))
+         [ 2; 3; 4 ])
   in
   [
     Table.make ~id:"E13"
@@ -1066,8 +891,7 @@ let e13_comparisons speed =
         "Symmetry with arbitrary comparisons (§2's second variant): a \
          2-process mutex for EVERY m >= 2 (extension beyond the paper)"
       ~header:
-        [ "m"; "namings"; "max states"; "mutual excl"; "deadlock-free";
-          "lock-step attack" ]
+        ([ "m"; "namings"; "max states" ] @ labels @ [ "lock-step attack" ])
       ~notes:
         [
           "Same structure as Fig 1 but ties are broken by comparing ids: \
@@ -1084,7 +908,7 @@ let e13_comparisons speed =
 module Fig1_pinned3 = Wrap.Fix_m (Coord.Amutex.P) (struct let m = 3 end)
 module EFixm = Check.Explore.Make (Fig1_pinned3)
 
-let e15_property1 _speed =
+let e15_property1 () =
   let case label namings =
     let cfg : EFixm.config =
       { ids = [| 7; 13 |]; inputs = [| (); () |]; namings }
@@ -1137,8 +961,8 @@ let e15_property1 _speed =
 module HuntFig1 = Check.Hunt.Make (Coord.Amutex.P)
 module HuntWin = Check.Hunt.Make (Fig1_pinned3)
 
-let e16_hunting speed =
-  let attempts = match speed with Quick -> 400 | Full -> 5000 in
+let e16_hunting () =
+  let attempts = 400 in
   (* the known n=3, m=3 mutual-exclusion violation: exhaustive finds it *)
   let exhaustive =
     let cfg : EMutex.config =
@@ -1199,161 +1023,6 @@ let e16_hunting speed =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* E14: the multicore backend (real domains, real atomics)             *)
-(* ------------------------------------------------------------------ *)
-
-module PCons = Parallel.Prun.Make (Coord.Consensus.P)
-module PRen = Parallel.Prun.Make (Coord.Renaming.P)
-module PMutex = Parallel.Prun.Make (Coord.Amutex.P)
-module PCcp = Parallel.Prun.Make (Coord.Ccp.P)
-
-let e14_multicore speed =
-  let rounds = match speed with Quick -> 5 | Full -> 25 in
-  let consensus_row =
-    let bad = ref 0 and decided_runs = ref 0 in
-    for round = 1 to rounds do
-      let n = 2 + (round mod 2) in
-      let m = (2 * n) - 1 in
-      let rng = Rng.create (round * 13) in
-      let inputs = Array.init n (fun i -> (i + 1) * 100) in
-      let cfg : PCons.config =
-        {
-          ids = Array.init n (fun i -> (i + 1) * 7);
-          inputs;
-          namings = Array.init n (fun _ -> Naming.random rng m);
-          seed = round;
-        }
-      in
-      let o = PCons.run_decide ~step_budget:500_000 cfg in
-      let ds =
-        Array.to_list o.results |> List.filter_map (fun r -> r.PCons.output)
-      in
-      (match ds with
-      | [] -> ()
-      | v :: rest ->
-        incr decided_runs;
-        if
-          (not (List.for_all (( = ) v) rest))
-          || not (Array.exists (( = ) v) inputs)
-        then incr bad)
-    done;
-    [
-      "Fig 2 consensus (2-3 domains)";
-      string_of_int rounds;
-      str "%d" !decided_runs;
-      string_of_int !bad;
-    ]
-  in
-  let renaming_row =
-    let bad = ref 0 and decided_runs = ref 0 in
-    for round = 1 to rounds do
-      let n = 2 + (round mod 2) in
-      let m = (2 * n) - 1 in
-      let rng = Rng.create (round * 29) in
-      let cfg : PRen.config =
-        {
-          ids = Array.init n (fun i -> (i + 1) * 13);
-          inputs = Array.make n ();
-          namings = Array.init n (fun _ -> Naming.random rng m);
-          seed = round;
-        }
-      in
-      let o = PRen.run_decide ~step_budget:500_000 cfg in
-      let names =
-        Array.to_list o.results |> List.filter_map (fun r -> r.PRen.output)
-      in
-      if names <> [] then incr decided_runs;
-      if
-        List.sort_uniq compare names <> List.sort compare names
-        || List.exists (fun v -> v < 1 || v > n) names
-      then incr bad
-    done;
-    [
-      "Fig 3 renaming (2-3 domains)";
-      string_of_int rounds;
-      str "%d" !decided_runs;
-      string_of_int !bad;
-    ]
-  in
-  let mutex_row =
-    let bad = ref 0 and sessions_total = ref 0 in
-    for round = 1 to rounds do
-      let m = 3 + (2 * (round mod 2)) in
-      let rng = Rng.create (round * 41) in
-      let cfg : PMutex.config =
-        {
-          ids = [| 7; 13 |];
-          inputs = [| (); () |];
-          namings = Array.init 2 (fun _ -> Naming.random rng m);
-          seed = round;
-        }
-      in
-      let o = PMutex.run_sessions ~step_budget:300_000 ~sessions:50 cfg in
-      if o.mutex_violation then incr bad;
-      sessions_total :=
-        !sessions_total
-        + Array.fold_left (fun acc r -> acc + r.PMutex.cs_entries) 0 o.results
-    done;
-    [
-      "Fig 1 mutex (2 domains, 50 sessions each)";
-      string_of_int rounds;
-      str "%d CS entries" !sessions_total;
-      string_of_int !bad;
-    ]
-  in
-  let ccp_row =
-    let bad = ref 0 and decided_runs = ref 0 in
-    for round = 1 to rounds do
-      let n = 2 + (round mod 3) in
-      let rng = Rng.create (round * 53) in
-      let cfg : PCcp.config =
-        {
-          ids = Array.init n (fun i -> (i + 1) * 3);
-          inputs = Array.make n ();
-          namings = Array.init n (fun _ -> Naming.random rng 2);
-          seed = round;
-        }
-      in
-      let o = PCcp.run_decide ~step_budget:200_000 cfg in
-      let phys =
-        Array.to_list
-          (Array.mapi
-             (fun i (r : PCcp.proc_result) ->
-               Option.map
-                 (fun loc -> Naming.apply cfg.namings.(i) loc)
-                 r.output)
-             o.results)
-        |> List.filter_map Fun.id
-      in
-      (match phys with
-      | [] -> ()
-      | a :: rest ->
-        incr decided_runs;
-        if List.exists (( <> ) a) rest then incr bad)
-    done;
-    [
-      "choice coordination (2-4 domains, RMW atomics)";
-      string_of_int rounds;
-      str "%d" !decided_runs;
-      string_of_int !bad;
-    ]
-  in
-  [
-    Table.make ~id:"E14"
-      ~title:
-        "Multicore backend: real OCaml domains over seq-cst atomics (the OS \
-         as adversary)"
-      ~header:[ "workload"; "runs"; "progress"; "safety violations" ]
-      ~notes:
-        [
-          "The simulator remains the stronger adversary (it chooses the \
-           interleavings); this backend checks the algorithms survive real \
-           preemptive execution unchanged.";
-        ]
-      [ consensus_row; renaming_row; mutex_row; ccp_row ];
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* E17: fairness in the long run (companion to E12's exact verdicts)   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1386,8 +1055,8 @@ module FairFig1 = Fairness (Coord.Amutex.P)
 module FairPet = Fairness (Baseline.Peterson.P)
 module FairFast = Fairness (Baseline.Fast_mutex.P)
 
-let e17_fairness speed =
-  let steps = match speed with Quick -> 60_000 | Full -> 400_000 in
+let e17_fairness () =
+  let steps = 60_000 in
   let fig1 = FairFig1.split ~m:3 ~ids:[ 7; 13 ] ~steps ~seed:11 in
   let peterson = FairPet.split ~m:3 ~ids:[ 1; 2 ] ~steps ~seed:11 in
   let fast = FairFast.split ~m:4 ~ids:[ 1; 2 ] ~steps ~seed:11 in
@@ -1422,96 +1091,6 @@ let e17_fairness speed =
         row "Peterson named" peterson;
         row "Lamport fast named" fast;
       ];
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* E18: the frontier-parallel model checker                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Cross-validates the parallel [Explore.explore_with_stats] against the
-   sequential oracle on every protocol family: the graphs must be
-   bit-identical (same state numbering, same transition lists, same
-   completeness flag), so every verdict the parallel checker produces is
-   the sequential checker's verdict. Throughputs are wall-clock and
-   host-dependent. *)
-module ParCheck (P : Protocol.PROTOCOL) = struct
-  module E = Check.Explore.Make (P)
-
-  let row ~label ~domains (cfg : E.config) =
-    let gs, ss = E.explore_with_stats cfg in
-    let gp, sp = E.explore_with_stats ~domains cfg in
-    let identical =
-      gs.states = gp.states && gs.succs = gp.succs && gs.complete = gp.complete
-    in
-    [
-      label;
-      string_of_int domains;
-      string_of_int ss.Check.Checker_stats.n_states;
-      string_of_int sp.Check.Checker_stats.n_states;
-      (if identical then "bit-identical" else "DIVERGED");
-      str "%.0f / %.0f"
-        (Check.Checker_stats.states_per_sec ss /. 1e3)
-        (Check.Checker_stats.states_per_sec sp /. 1e3);
-      str "%.2fx"
-        (ss.Check.Checker_stats.elapsed_s /. sp.Check.Checker_stats.elapsed_s);
-    ]
-end
-
-module PchkMutex = ParCheck (Coord.Amutex.P)
-module PchkCons = ParCheck (Coord.Consensus.P)
-module PchkRen = ParCheck (Coord.Renaming.P)
-module PchkCcp = ParCheck (Coord.Ccp.P)
-module PchkBurns = ParCheck (Baseline.Burns.P)
-
-let e18_parallel_checker speed =
-  let domains = match speed with Quick -> 2 | Full -> 4 in
-  let rot2 m = [| Naming.identity m; Naming.rotation m 1 |] in
-  let big =
-    match speed with
-    | Quick -> []
-    | Full ->
-      [
-        PchkMutex.row ~label:"Fig 1 mutex (m=5)" ~domains
-          { ids = [| 7; 13 |]; inputs = [| (); () |]; namings = rot2 5 };
-      ]
-  in
-  [
-    Table.make ~id:"E18"
-      ~title:
-        "Frontier-parallel model checker vs the sequential oracle \
-         (generation-synchronized BFS, chunks mapped on every domain and \
-         interned in order on domain 0)"
-      ~header:
-        [
-          "instance";
-          "domains";
-          "states (seq)";
-          "states (par)";
-          "graphs";
-          "kstates/s seq/par";
-          "speedup";
-        ]
-      ~notes:
-        [
-          "State ids are assigned by a sequential scan over each \
-           generation's candidates in discovery order, so the parallel \
-           graph is bit-identical to the sequential one and every \
-           property verdict transfers; speedups are wall-clock on the \
-           current host (below 1x on a single core).";
-        ]
-      ([
-         PchkMutex.row ~label:"Fig 1 mutex (m=3)" ~domains
-           { ids = [| 7; 13 |]; inputs = [| (); () |]; namings = rot2 3 };
-         PchkCons.row ~label:"Fig 2 consensus (m=3)" ~domains
-           { ids = [| 7; 13 |]; inputs = [| 100; 200 |]; namings = rot2 3 };
-         PchkRen.row ~label:"Fig 3 renaming (m=3)" ~domains
-           { ids = [| 7; 13 |]; inputs = [| (); () |]; namings = rot2 3 };
-         PchkCcp.row ~label:"CCP (m=2)" ~domains
-           { ids = [| 7; 13 |]; inputs = [| (); () |]; namings = rot2 2 };
-         PchkBurns.row ~label:"Burns named (n=3)" ~domains
-           (PchkBurns.E.config ~ids:[ 1; 2; 3 ] ~inputs:[ (); (); () ] ());
-       ]
-      @ big);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1570,61 +1149,8 @@ module CtRen = CrashTol (Coord.Renaming.P)
 module CtCcp = CrashTol (Coord.Ccp.P)
 module CrashMutex = Check.Crash_props.Make (Coord.Amutex.P)
 
-(* A protocol whose id-1 process blocks inside its first step until the
-   release flag is raised: the one way to hang a domain that no step
-   budget can bound, which is what the Prun watchdog exists to catch. *)
-let e19_release = Atomic.make false
-
-module Hang_p = struct
-  module Value = struct
-    type t = int
-
-    let init = 0
-    let equal = Int.equal
-    let compare = Int.compare
-    let pp = Format.pp_print_int
-  end
-
-  type input = unit
-  type output = int
-  type local = Init | Stuck | Done
-
-  let name = "hang"
-  let default_registers ~n:_ = 1
-  let start ~n:_ ~m:_ ~id:_ () = Init
-
-  let step ~n:_ ~m:_ ~id = function
-    | Init ->
-      if id = 1 then begin
-        while not (Atomic.get e19_release) do
-          Domain.cpu_relax ()
-        done;
-        Protocol.Internal Stuck
-      end
-      else Protocol.Internal Done
-    | Stuck | Done -> Protocol.Internal Done
-
-  let status = function
-    | Init | Stuck -> Protocol.Trying
-    | Done -> Protocol.Decided 0
-
-  let compare_local = Stdlib.compare
-  let symmetric = false
-  let map_value_ids _ v = v
-  let map_local_ids _ l = l
-
-  let pp_local ppf l =
-    Format.pp_print_string ppf
-      (match l with Init -> "init" | Stuck -> "stuck" | Done -> "done")
-
-  let pp_input ppf () = Format.pp_print_string ppf "()"
-  let pp_output = Format.pp_print_int
-end
-
-module PHang = Parallel.Prun.Make (Hang_p)
-
-let e19_crash_tolerance speed =
-  let max_step = match speed with Quick -> 12 | Full -> 40 in
+let e19_crash_tolerance () =
+  let max_step = 12 in
   let matrix =
     let rot n m = Array.init n (fun k -> Naming.rotation m k) in
     [
@@ -1674,81 +1200,6 @@ let e19_crash_tolerance speed =
       ];
     ]
   in
-  let multicore_rows =
-    (* crash-stop one domain out of three mid-run: survivors decide *)
-    let crash_row =
-      let n = 3 in
-      let m = (2 * n) - 1 in
-      let rng = Rng.create 77 in
-      let inputs = Array.init n (fun i -> (i + 1) * 100) in
-      let cfg : PCons.config =
-        {
-          ids = Array.init n (fun i -> (i + 1) * 7);
-          inputs;
-          namings = Array.init n (fun _ -> Naming.random rng m);
-          seed = 77;
-        }
-      in
-      let faults =
-        { PCons.crash_at = [| Some 5; None; None |]; pause_prob = 0.001 }
-      in
-      let o = PCons.run_decide ~watchdog_s:5.0 ~faults ~step_budget:500_000 cfg in
-      let survivors_decided =
-        Array.to_list o.results
-        |> List.filteri (fun i _ -> i > 0)
-        |> List.for_all (fun r -> r.PCons.output <> None)
-      in
-      let agree =
-        match
-          Array.to_list o.results |> List.filter_map (fun r -> r.PCons.output)
-        with
-        | [] -> true
-        | v :: rest ->
-          List.for_all (( = ) v) rest && Array.exists (( = ) v) inputs
-      in
-      [
-        "Fig 2 consensus, 3 domains, p0 crash-stopped at step 5";
-        "1";
-        "1";
-        (if o.PCons.results.(0).crashed && survivors_decided then
-           "crash recorded; both survivors decided"
-         else "incomplete");
-        (if agree then "ok" else "VIOLATED");
-      ]
-    in
-    (* hang one domain inside a protocol step: the watchdog must hand
-       back a partial outcome instead of blocking in Domain.join *)
-    let watchdog_row =
-      Atomic.set e19_release false;
-      let cfg : PHang.config =
-        {
-          ids = [| 1; 2; 3 |];
-          inputs = [| (); (); () |];
-          namings = Array.init 3 (fun _ -> Naming.identity 1);
-          seed = 1;
-        }
-      in
-      let o = PHang.run_decide ~watchdog_s:0.2 ~max_stall_retries:0 ~step_budget:1_000 cfg in
-      Atomic.set e19_release true;
-      Unix.sleepf 0.05;
-      let leaked =
-        Array.to_list o.results |> List.filter (fun r -> r.PHang.timed_out)
-      in
-      let peers_done =
-        o.PHang.results.(1).output <> None && o.PHang.results.(2).output <> None
-      in
-      [
-        "hang protocol, 3 domains, p0 stuck inside a step";
-        "1";
-        "1";
-        (if o.PHang.watchdog_fired && List.length leaked = 1 && peers_done
-         then "watchdog fired; partial outcome, peers decided"
-         else "watchdog FAILED to isolate the hang");
-        "n/a";
-      ]
-    in
-    [ crash_row; watchdog_row ]
-  in
   [
     Table.make ~id:"E19a"
       ~title:
@@ -1768,19 +1219,6 @@ let e19_crash_tolerance speed =
            the crash point; those runs double as no-fault controls.";
         ]
       (matrix @ mutex_rows);
-    Table.make ~id:"E19b"
-      ~title:
-        "Multicore robustness: injected crash-stops and a watchdog for \
-         domains that hang inside a step"
-      ~header:[ "workload"; "runs"; "faults"; "outcome"; "safety" ]
-      ~notes:
-        [
-          "The watchdog polls per-domain heartbeats; a stalled domain is \
-           abandoned (its slot synthesised with timed_out set) so the run \
-           returns a partial outcome instead of blocking in Domain.join \
-           forever.";
-        ]
-      multicore_rows;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1788,61 +1226,32 @@ let e19_crash_tolerance speed =
 (* ------------------------------------------------------------------ *)
 
 (* Explores each configuration twice — full graph and symmetry quotient
-   (identity namings, so the whole process group is admissible) — and
-   reports the measured reduction factor. The orbit-sum column is a live
-   soundness check: the stored orbit sizes must sum to exactly the full
-   reachable count whenever both explorations complete. Verdict equality
-   between the two graphs is asserted, per protocol, in
-   test/test_canon.ml. *)
-module QuotRed (P : Protocol.PROTOCOL) = struct
-  module E = Check.Explore.Make (P)
-
-  let row ~label ~n ~m ?max_states (cfg : E.config) =
-    let _, sf = E.explore_with_stats ?max_states cfg in
-    let _, sr =
-      E.explore_with_stats ~reduction:Check.Explore.Canon ?max_states cfg
+   — as `coordctl explore` builds it (identity namings, so the whole
+   process group is admissible) and reports the measured reduction
+   factor. The orbit-sum column is a live soundness check: the stored
+   orbit sizes must sum to exactly the full reachable count; the
+   verdicts column compares the entry's verdicts on the two graphs. *)
+let e20_symmetry_reduction () =
+  let row label proto ~n ~m =
+    let judged reduction =
+      judge ~reduction ~explore_inputs:true proto ~n
+        [ Array.init n (fun _ -> Naming.identity m) ]
     in
+    let full = judged Check.Explore.Full
+    and quot = judged Check.Explore.Canon in
+    let sf = List.hd full.stats and sr = List.hd quot.stats in
     let open Check.Checker_stats in
     [
       label;
       string_of_int n;
       string_of_int m;
       string_of_int sr.group_order;
-      str "%d%s" sf.n_states (if sf.complete then "" else "+");
-      str "%d%s" sr.n_states (if sr.complete then "" else "+");
+      string_of_int sf.n_states;
+      string_of_int sr.n_states;
       str "%.2fx" (reduction_factor sr);
-      (if sf.complete && sr.complete then
-         if sr.orbit_sum = sf.n_states then "exact" else "MISMATCH"
-       else "truncated");
+      (if sr.orbit_sum = sf.n_states then "exact" else "MISMATCH");
+      (if quot.violations = full.violations then "same" else "DIFFER");
     ]
-end
-
-module QrMutex = QuotRed (Coord.Amutex.P)
-module QrCons = QuotRed (Coord.Consensus.P)
-module QrRen = QuotRed (Coord.Renaming.P)
-module QrCcp = QuotRed (Coord.Ccp.P)
-
-let e20_symmetry_reduction speed =
-  let sym n m : Naming.t array = Array.init n (fun _ -> Naming.identity m) in
-  let ids n = Array.init n (fun i -> 7 + i) in
-  let units n = Array.make n () in
-  let mutex_row ?max_states n m =
-    QrMutex.row ~label:"Fig 1 mutex" ~n ~m ?max_states
-      { ids = ids n; inputs = units n; namings = sym n m }
-  in
-  let big =
-    match speed with
-    | Quick -> []
-    | Full ->
-      [
-        mutex_row 2 4;
-        mutex_row 2 5;
-        (* the m=5 n=3 full graph blows any sane table budget; the
-           truncated rows still show the quotient pulling ahead *)
-        mutex_row ~max_states:600_000 3 5;
-        QrRen.row ~label:"Fig 3 renaming" ~n:2 ~m:5
-          { ids = ids 2; inputs = units 2; namings = sym 2 5 };
-      ]
   in
   [
     Table.make ~id:"E20"
@@ -1859,6 +1268,7 @@ let e20_symmetry_reduction speed =
           "quotient";
           "reduction";
           "orbit sum";
+          "verdicts";
         ]
       ~notes:
         [
@@ -1870,132 +1280,16 @@ let e20_symmetry_reduction speed =
           "\"exact\" means the stored orbit sizes sum to precisely the \
            full graph's reachable-state count — orbits partition the \
            reachable set, so this is a strong end-to-end check of the \
-           canonizer. Truncated (budgeted) rows are marked with +.";
+           canonizer. \"same\" means the protocol's judged properties \
+           (those of `coordctl check`) get the same verdicts on both \
+           graphs.";
         ]
-      ([
-         mutex_row 2 3;
-         mutex_row 3 3;
-         QrCons.row ~label:"Fig 2 consensus (equal inputs)" ~n:2 ~m:3
-           { ids = ids 2; inputs = [| 42; 42 |]; namings = sym 2 3 };
-         QrCcp.row ~label:"CCP" ~n:2 ~m:2
-           { ids = ids 2; inputs = units 2; namings = sym 2 2 };
-       ]
-      @ big);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* E21: snapshot overhead and resume fidelity                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Three explorations per row: an uninterrupted baseline, the same run
-   with periodic checkpointing (the overhead column), and a
-   kill-and-resume pair — truncate at half the reachable count so the
-   budget flushes a snapshot, resume it, and require the final graph and
-   statistics bit-identical to the baseline (the contract DESIGN.md §10
-   promises and test/test_snapshot.ml enforces per explorer). *)
-module SnapOv (P : Protocol.PROTOCOL) = struct
-  module E = Check.Explore.Make (P)
-
-  let row ~label ~n ~m ~snapshot_every (cfg : E.config) =
-    let path = Filename.temp_file "coordsnap" ".snap" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    @@ fun () ->
-    let gb, sb = E.explore_with_stats cfg in
-    let _, ss = E.explore_with_stats ~snapshot_every ~snapshot_to:path cfg in
-    (* kill-and-resume: truncate at half, snapshot, resume to the end *)
-    let half = max 1 (sb.Check.Checker_stats.n_states / 2) in
-    let _ =
-      E.explore_with_stats ~max_states:half ~snapshot_every ~snapshot_to:path
-        cfg
-    in
-    let snap_bytes = (Unix.stat path).Unix.st_size in
-    let gr, sr = E.explore_with_stats ~resume_from:path cfg in
-    let identical =
-      gb.E.states = gr.E.states
-      && gb.E.succs = gr.E.succs
-      && gb.E.orbits = gr.E.orbits
-      && Check.Checker_stats.equal_ignoring_time sb sr
-    in
-    let open Check.Checker_stats in
-    let overhead =
-      if sb.elapsed_s > 0. then
-        (ss.elapsed_s -. sb.elapsed_s) /. sb.elapsed_s *. 100.
-      else 0.
-    in
-    [
-      label;
-      string_of_int n;
-      string_of_int m;
-      string_of_int sb.n_states;
-      str "%.0f" (states_per_sec sb);
-      str "%.0f" (states_per_sec ss);
-      str "%+.1f%%" overhead;
-      str "%.0f KiB" (float_of_int snap_bytes /. 1024.);
-      (if identical then "bit-identical" else "MISMATCH");
-    ]
-end
-
-module SoMutex = SnapOv (Coord.Amutex.P)
-module SoCcp = SnapOv (Coord.Ccp.P)
-
-let e21_snapshot_overhead speed =
-  let ids n = Array.init n (fun i -> 7 + i) in
-  let units n = Array.make n () in
-  let mutex_row ?(snapshot_every = 5_000) n m =
-    SoMutex.row ~label:"Fig 1 mutex" ~n ~m ~snapshot_every
-      {
-        ids = ids n;
-        inputs = units n;
-        namings = Array.init n (fun _ -> Naming.identity m);
-      }
-  in
-  let big =
-    match speed with
-    | Quick -> []
-    | Full ->
       [
-        mutex_row ~snapshot_every:50_000 3 3;
-        SoCcp.row ~label:"CCP" ~n:2 ~m:2 ~snapshot_every:5_000
-          {
-            ids = ids 2;
-            inputs = units 2;
-            namings = Array.init 2 (fun _ -> Naming.identity 2);
-          };
-      ]
-  in
-  [
-    Table.make ~id:"E21"
-      ~title:
-        "Checkpoint/resume: periodic-snapshot overhead and \
-         kill-at-half-resume fidelity (sequential explorer)"
-      ~header:
-        [
-          "instance";
-          "n";
-          "m";
-          "states";
-          "base st/s";
-          "snap st/s";
-          "overhead";
-          "snap size";
-          "resume";
-        ]
-      ~notes:
-        [
-          "Overhead compares one timed run each way, so small \
-           configurations are timing-noise; the m=5 and n=3 rows are \
-           the meaningful ones. Snapshots are written at generation \
-           boundaries roughly every `snapshot-every` newly interned \
-           states (5k here, 50k for the n=3 row; the CLI default is \
-           500k, making the relative cost far smaller on real runs).";
-          "\"snap size\" is the on-disk checkpoint flushed when a \
-           half-budget run truncates. \"bit-identical\" asserts the \
-           resumed run's graph (states, successors, orbits) and checker \
-           statistics equal the uninterrupted baseline's — the E18-style \
-           oracle check, applied to resumption.";
-        ]
-      ([ mutex_row 2 3; mutex_row 2 4; mutex_row 2 5 ] @ big);
+        row "Fig 1 mutex" Serve.Spec.Mutex ~n:2 ~m:3;
+        row "Fig 1 mutex" Serve.Spec.Mutex ~n:3 ~m:3;
+        row "Fig 2 consensus (equal inputs)" Serve.Spec.Consensus ~n:2 ~m:3;
+        row "CCP" Serve.Spec.Ccp ~n:2 ~m:2;
+      ];
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2128,7 +1422,7 @@ end
 
 module ChMutex = ChaosRow (Coord.Amutex.P)
 
-let e22_chaos_matrix _speed =
+let e22_chaos_matrix () =
   let cfg : ChMutex.E.config =
     {
       ids = [| 7; 13 |];
@@ -2166,7 +1460,7 @@ let e22_chaos_matrix _speed =
       ];
   ]
 
-let e23_serve_sweep _speed =
+let e23_serve_sweep () =
   let sw : Serve.Sweep.spec =
     {
       Serve.Sweep.name = "e23";
@@ -2219,57 +1513,29 @@ let e23_serve_sweep _speed =
       (Serve.Sweep.kpi_rows first);
   ]
 
-let all speed =
-  List.concat
-    [
-      e1_mutex_model_check speed;
-      e2_even_m speed;
-      e3_gcd_grid speed;
-      e4_consensus speed;
-      e5_election speed;
-      e6_renaming speed;
-      e7_covering_mutex speed;
-      e8_covering_consensus speed;
-      e9_covering_renaming speed;
-      e10_named_baselines speed;
-      e11_ccp speed;
-      e12_starvation speed;
-      e13_comparisons speed;
-      e14_multicore speed;
-      e15_property1 speed;
-      e16_hunting speed;
-      e17_fairness speed;
-      e18_parallel_checker speed;
-      e19_crash_tolerance speed;
-      e20_symmetry_reduction speed;
-      e21_snapshot_overhead speed;
-      e22_chaos_matrix speed;
-      e23_serve_sweep speed;
-    ]
+let registry =
+  [
+    ("E1", e1_mutex_model_check);
+    ("E2", e2_even_m);
+    ("E3", e3_gcd_grid);
+    ("E4", e4_consensus);
+    ("E5", e5_election);
+    ("E6", e6_renaming);
+    ("E7", e7_covering_mutex);
+    ("E8", e8_covering_consensus);
+    ("E9", e9_covering_renaming);
+    ("E10", e10_named_baselines);
+    ("E11", e11_ccp);
+    ("E12", e12_starvation);
+    ("E13", e13_comparisons);
+    ("E15", e15_property1);
+    ("E16", e16_hunting);
+    ("E17", e17_fairness);
+    ("E19", e19_crash_tolerance);
+    ("E20", e20_symmetry_reduction);
+    ("E22", e22_chaos_matrix);
+    ("E23", e23_serve_sweep);
+  ]
 
-let by_id id =
-  match String.lowercase_ascii id with
-  | "e1" -> Some e1_mutex_model_check
-  | "e2" -> Some e2_even_m
-  | "e3" -> Some e3_gcd_grid
-  | "e4" -> Some e4_consensus
-  | "e5" -> Some e5_election
-  | "e6" -> Some e6_renaming
-  | "e7" -> Some e7_covering_mutex
-  | "e8" -> Some e8_covering_consensus
-  | "e9" -> Some e9_covering_renaming
-  | "e10" -> Some e10_named_baselines
-  | "e11" -> Some e11_ccp
-  | "e12" -> Some e12_starvation
-  | "e13" -> Some e13_comparisons
-  | "e14" -> Some e14_multicore
-  | "e15" -> Some e15_property1
-  | "e16" -> Some e16_hunting
-  | "e17" -> Some e17_fairness
-  | "e18" -> Some e18_parallel_checker
-  | "e19" -> Some e19_crash_tolerance
-  | "e20" -> Some e20_symmetry_reduction
-  | "e21" -> Some e21_snapshot_overhead
-  | "e22" -> Some e22_chaos_matrix
-  | "e23" -> Some e23_serve_sweep
-  | _ -> None
+let all () = List.concat_map (fun (_, run) -> run ()) registry
+let by_id id = List.assoc_opt (String.uppercase_ascii id) registry

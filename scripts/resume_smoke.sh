@@ -8,8 +8,10 @@
 #   leg B  SIGTERM a live exploration mid-flight and require a graceful
 #          exit with a resumable snapshot on disk (timing-tolerant: the
 #          run may legitimately finish before the signal lands);
-#   leg C  the `check` exit-code contract: 0 clean, 3 truncated,
-#          4 rejected snapshot;
+#   leg C  the exit-code contract: `check` exits 0 clean, 3 truncated,
+#          4 rejected snapshot; a usage mistake (a flag combination or
+#          an id or process the command cannot take) exits 124 with its
+#          message on stderr, before any work starts;
 #   leg D  SIGKILL (kill -9) mid-write: whatever the snapshot file looks
 #          like after an uncatchable kill, a --salvage resume must accept
 #          it and complete (timing-tolerant like leg B).
@@ -99,7 +101,7 @@ if [ -f "$tmp/k9.snap" ]; then
     || fail "salvage resume after SIGKILL exited $?"
 fi
 
-# --- leg C: check's exit-code contract ----------------------------------
+# --- leg C: the exit-code contract --------------------------------------
 
 "$COORD" check mutex -m 3 >/dev/null 2>&1
 rc=$? && [ "$rc" -eq 0 ] || fail "clean check exited $rc (want 0)"
@@ -111,5 +113,20 @@ printf 'not a snapshot' >"$tmp/garbage.snap"
 "$COORD" check mutex -m 3 --resume "$tmp/garbage.snap" >/dev/null 2>&1 \
   && rc=0 || rc=$?
 [ "$rc" -eq 4 ] || fail "garbage resume exited $rc (want 4)"
+
+# usage mistakes: exit 124 with the message on stderr (not 125, an
+# internal error); $1 = the message, the rest = the command's arguments
+usage_error() {
+  want=$1
+  shift
+  "$COORD" "$@" >/dev/null 2>"$tmp/usage.err" && rc=0 || rc=$?
+  [ "$rc" -eq 124 ] || fail "coordctl $* exited $rc (want 124)"
+  grep -qF "$want" "$tmp/usage.err" \
+    || fail "coordctl $* did not report: $want"
+}
+usage_error "drop --par" explore mutex -n 2 -m 3 --disk-visited "$tmp/dv" --par
+[ ! -e "$tmp/dv" ] || fail "refused --disk-visited --par still made its directory"
+usage_error 'unknown experiment "E99"' tables -e E99
+usage_error "crash spec names p5 but n=2" chaos consensus -n 2 --crash 5@1
 
 echo "resume_smoke: OK"

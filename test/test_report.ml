@@ -29,18 +29,41 @@ let test_table_rejects_ragged_rows () =
            [ [ "only one" ] ]))
 
 let test_by_id () =
-  Alcotest.(check bool) "E1 found" true (Report.Experiments.by_id "E1" <> None);
-  Alcotest.(check bool) "e13 found (case-insensitive)" true
-    (Report.Experiments.by_id "e13" <> None);
-  Alcotest.(check bool) "E99 unknown" true
-    (Report.Experiments.by_id "E99" = None)
+  List.iter
+    (fun (id, _) ->
+      Alcotest.(check bool) (id ^ " found") true
+        (Report.Experiments.by_id id <> None);
+      Alcotest.(check bool)
+        (id ^ " found (case-insensitive)")
+        true
+        (Report.Experiments.by_id (String.lowercase_ascii id) <> None))
+    Report.Experiments.registry;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " unknown") true
+        (Report.Experiments.by_id id = None))
+    [ "E14"; "E18"; "E21"; "E99" ]
 
-(* Running every quick experiment is the broadest integration test in the
+(* Every experiment, run once and shared by the cases below. *)
+let tables = lazy (Report.Experiments.all ())
+
+let find id =
+  List.find (fun (t : Report.Table.t) -> t.id = id) (Lazy.force tables)
+
+let column (t : Report.Table.t) name row =
+  let rec idx i = function
+    | [] -> Alcotest.failf "%s has no column %S" t.id name
+    | h :: _ when h = name -> i
+    | _ :: rest -> idx (i + 1) rest
+  in
+  List.nth row (idx 0 t.header)
+
+(* Running every experiment is the broadest integration test in the
    suite: it exercises the checker, the simulator, both adversaries and all
    protocols. Verdict cells must contain no VIOLATED/FAILED outside the
    rows that are *supposed* to exhibit violations. *)
-let test_all_quick_experiments () =
-  let tables = Report.Experiments.all Report.Experiments.Quick in
+let test_all_experiments () =
+  let tables = Lazy.force tables in
   Alcotest.(check bool) "all experiments produced tables" true
     (List.length tables >= 13);
   List.iter
@@ -56,20 +79,60 @@ let test_all_quick_experiments () =
         t.rows)
     tables;
   (* spot-check verdicts: E1 must be clean, E3's (2,4) cell must attack *)
-  let find id =
-    List.find (fun (t : Report.Table.t) -> t.id = id) tables
-  in
   let e1 = find "E1" in
   List.iter
     (fun row ->
-      Alcotest.(check string) "E1 ME ok" "ok" (List.nth row 3);
-      Alcotest.(check string) "E1 DF ok" "ok" (List.nth row 4))
+      Alcotest.(check string) "E1 ME ok" "ok"
+        (column e1 "mutual-exclusion" row);
+      Alcotest.(check string) "E1 DF ok" "ok"
+        (column e1 "deadlock-freedom" row))
     e1.rows;
   let e3 = find "E3" in
   let row_n2 = List.hd e3.rows in
   Alcotest.(check string) "E3 n=2 m=2 attacked" "d=2 livelock"
     (List.nth row_n2 1);
   Alcotest.(check string) "E3 n=2 m=3 coprime" "coprime" (List.nth row_n2 2)
+
+(* The verdict tables judge what `coordctl check` judges: for each
+   protocol at n=2, m=3, the runner's check job and the table's row agree
+   on the largest state count, and the job passes exactly when every
+   verdict cell reads ok. *)
+let test_tables_match_runner () =
+  List.iter
+    (fun (proto, id, labels) ->
+      let t = find id in
+      let row =
+        match t.rows with
+        | [ row ] -> row
+        | rows -> List.find (fun row -> column t "m" row = "3") rows
+      in
+      let spec = Serve.Spec.make ~n:2 ~m:3 Serve.Spec.Check proto in
+      match Serve.Runner.run_slice spec Serve.Runner.start with
+      | Serve.Runner.Yield _ -> Alcotest.fail "an unsliced job yielded"
+      | Serve.Runner.Done o ->
+        let max_states =
+          List.fold_left
+            (fun acc s -> max acc s.Check.Checker_stats.n_states)
+            0 o.Serve.Runner.stats
+        in
+        Alcotest.(check string) (id ^ " max states")
+          (string_of_int max_states) (column t "max states" row);
+        Alcotest.(check bool) (id ^ " verdict")
+          (o.Serve.Runner.verdict = Serve.Runner.Pass)
+          (List.for_all (fun l -> column t l row = "ok") labels))
+    [
+      (Serve.Spec.Mutex, "E1", [ "mutual-exclusion"; "deadlock-freedom" ]);
+      (Serve.Spec.Cmp_mutex, "E13", [ "mutual-exclusion"; "deadlock-freedom" ]);
+      ( Serve.Spec.Consensus,
+        "E4a",
+        [ "agreement"; "validity"; "of-termination" ] );
+      ( Serve.Spec.Election,
+        "E5a",
+        [ "one-leader"; "leader-participates"; "of-termination" ] );
+      ( Serve.Spec.Renaming,
+        "E6a",
+        [ "uniqueness"; "adaptivity"; "of-termination" ] );
+    ]
 
 (* E22's disk-quota cell and a sweep without a state dir both work in
    directories of their own under the temp dir; neither may leave one
@@ -96,7 +159,7 @@ let test_no_temp_leftovers () =
       Sys.rmdir tmp)
     (fun () ->
       (match Report.Experiments.by_id "E22" with
-      | Some e22 -> ignore (e22 Report.Experiments.Quick)
+      | Some e22 -> ignore (e22 ())
       | None -> Alcotest.fail "E22 missing");
       Alcotest.(check (list string)) "E22 leaves the temp dir empty" []
         (leftovers ());
@@ -114,6 +177,7 @@ let suite =
     Alcotest.test_case "experiment lookup" `Quick test_by_id;
     Alcotest.test_case "E22 and sweeps leave no temp files" `Quick
       test_no_temp_leftovers;
-    Alcotest.test_case "all quick experiments run clean" `Slow
-      test_all_quick_experiments;
+    Alcotest.test_case "all experiments run clean" `Slow test_all_experiments;
+    Alcotest.test_case "verdict tables match coordctl check" `Slow
+      test_tables_match_runner;
   ]
