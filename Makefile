@@ -22,21 +22,28 @@ build:
 test:
 	dune runtest
 
+# One stage of `make check`: echo and run command $(2), then print the
+# stage's wall time as it ends.
+define stage
+@t0=$$(date +%s%N); echo "$(2)"; $(2) && ms=$$(( ($$(date +%s%N) - t0) / 1000000 )) && printf 'make check: stage %s took %d.%03d s\n' '$(1)' $$((ms / 1000)) $$((ms % 1000))
+endef
+
 # The gate the repo must pass before a change lands. Wrapped in a hard
 # timeout so a wedged test (the very thing the fault layer exists to
-# catch) fails the gate instead of hanging it.
+# catch) fails the gate instead of hanging it. Each stage prints its wall
+# time as it ends.
 CHECK_TIMEOUT ?= 600
 check:
-	$(MAKE) test-list
-	timeout $(CHECK_TIMEOUT) sh -c 'dune build @all && dune runtest'
-	$(MAKE) bench-canon
-	$(MAKE) bench-shard
-	$(MAKE) resume-smoke
-	$(MAKE) resilience-smoke
-	$(MAKE) chaos-soak-smoke
-	$(MAKE) fuzz-smoke
-	$(MAKE) serve-smoke
-	$(MAKE) disk-smoke
+	$(call stage,test-list,$(MAKE) test-list)
+	$(call stage,build+runtest,timeout $(CHECK_TIMEOUT) sh -c 'dune build @all && dune runtest')
+	$(call stage,bench-canon,$(MAKE) bench-canon)
+	$(call stage,bench-shard,$(MAKE) bench-shard)
+	$(call stage,resume-smoke,$(MAKE) resume-smoke)
+	$(call stage,resilience-smoke,$(MAKE) resilience-smoke)
+	$(call stage,chaos-soak-smoke,$(MAKE) chaos-soak-smoke)
+	$(call stage,fuzz-smoke,$(MAKE) fuzz-smoke)
+	$(call stage,serve-smoke,$(MAKE) serve-smoke)
+	$(call stage,disk-smoke,$(MAKE) disk-smoke)
 
 # Fails if any test/test_*.ml suite is not registered in test/main.ml —
 # a new suite cannot silently ride along unexecuted.

@@ -880,7 +880,7 @@ let stats_arg =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print checker statistics (throughput, dedup, shard load).")
+        ~doc:"Print checker statistics (throughput, dedup).")
 
 let canon_arg =
   Arg.(

@@ -175,43 +175,50 @@ module Make (P : Protocol.PROTOCOL) = struct
   (* incremental canonicalization                                        *)
   (* ------------------------------------------------------------------ *)
 
-  (* The incremental path rewrites the lex-min search in the interned
-     code space of the exploration's codec. Per state it computes the
-     code vector once, then walks the group comparing each image to the
-     current best slot by slot IN CODES (codes witness structural
-     equality exactly: the codec interns by [Value.compare] /
-     [compare_local]); only the single first-differing slot is compared
-     structurally to decide direction, because code order is
-     discovery-order noise. Most triples die at their first differing
-     slot without an image ever being materialized — those rejections
-     are the [pruned] counter. The per-sym image of each interned code
-     ([vtab]/[ltab]) is memoized, so [map_value_ids]/[map_local_ids]
-     runs once per (sym, value) pair for the whole exploration: the
-     orbit data a successor needs is a cache hit away from what its
-     parent already paid for.
+  (* The incremental path runs the lex-min search as integer work in the
+     interned code space of the exploration's codec. The image of every
+     code under every automorphism is memoized ([vimg]/[limg]), so
+     [map_value_ids]/[map_local_ids] runs once per (sym, value) pair for
+     the whole exploration. The search walks the group comparing each
+     image with the current best slot by slot in codes (codes witness
+     structural equality exactly: the codec interns by [Value.compare] /
+     [compare_local]). Only at the first differing slot does direction
+     matter, and code order is discovery-order noise, so the structural
+     order of that pair of codes comes from a memo ([vord]/[lord]) that
+     one structural comparison per pair fills. Most triples die at their
+     first differing slot without an image being built — those
+     rejections are the [pruned] counter.
 
      A ctx is single-threaded by construction (one per worker domain);
-     only the codec behind [value_code]/[local_code] is shared, and that
-     is CAS-safe. *)
-  type ctx = {
+     only the codec behind the code closures is shared, and that is safe
+     across domains. *)
+  (* log2 of the slots of the order memo *)
+  let order_bits = 10
+
+  type 'k ctx = {
     syms : sym array;
     id_index : int;  (* position of the identity in [syms] *)
     order : int;
+    orbits : int array;
+        (* orbits.(k): the orbit size for a stabilizer of order [k], or 0
+           when [k] does not divide the group order *)
     value_code : P.Value.t -> int;
     local_code : P.local -> int;
-    pack : int array -> int array -> string;
-    vtab : (int * P.Value.t) option array array;
-        (* vtab.(s).(c): (code, value) of the rho_s-image of the value
-           interned at code [c] *)
-    ltab : (int * P.local) option array array;
+    value_of : int -> P.Value.t;
+    local_of : int -> P.local;
+    pack : int array -> int array -> 'k;
+    vimg : int array array;
+        (* vimg.(s).(c): code of the rho_s-image of the value at code
+           [c], or -1 while unknown *)
+    limg : int array array;
+    vord : int array;  (* the memo of the order between two value codes *)
+    lord : int array;
     (* scratch, sized (m, n) once per exploration *)
-    vc : int array;  (* code vector of the state being canonized *)
+    vc : int array;  (* code vector [state_key] loaded *)
     lc : int array;
-    best_mem : P.Value.t array;
-    best_loc : P.local array;
     best_vc : int array;
     best_lc : int array;
-    mutable best_fresh : bool;
+    mutable moved : bool;
         (* the best buffers hold a non-identity image (false: the state
            itself is still the best) *)
     mutable hint : int;
@@ -222,7 +229,8 @@ module Make (P : Protocol.PROTOCOL) = struct
     mutable pruned : int;
   }
 
-  let make_ctx ~syms ~value_code ~local_code ~pack ~init:(mem0, locals0) =
+  let create ~syms ~value_code ~local_code ~value_of ~local_of ~pack
+      ~init:(mem0, locals0) =
     let syms = Array.of_list syms in
     let id_index =
       let rec go i =
@@ -237,163 +245,232 @@ module Make (P : Protocol.PROTOCOL) = struct
       syms;
       id_index;
       order = Array.length syms;
+      orbits =
+        Array.init
+          (Array.length syms + 1)
+          (fun k ->
+            if k > 0 && Array.length syms mod k = 0 then Array.length syms / k
+            else 0);
       value_code;
       local_code;
+      value_of;
+      local_of;
       pack;
-      vtab = Array.map (fun _ -> [||]) syms;
-      ltab = Array.map (fun _ -> [||]) syms;
+      vimg = Array.map (fun _ -> [||]) syms;
+      limg = Array.map (fun _ -> [||]) syms;
+      vord = Array.make (1 lsl order_bits) (-1);
+      lord = Array.make (1 lsl order_bits) (-1);
       vc = Array.make m 0;
       lc = Array.make n 0;
-      best_mem = Array.make m P.Value.init;
-      best_loc = Array.make n locals0.(0);
       best_vc = Array.make m 0;
       best_lc = Array.make n 0;
-      best_fresh = false;
+      moved = false;
       hint = id_index;
       pruned = 0;
     }
 
+  (* An intern closure that also remembers what it interned, and the
+     reverse lookup over what it remembers. A ctx built without the
+     codec's reverse tables learns every code it is handed this way: the
+     codes of [state_key]'s states and of their images. *)
+  let remembering code dummy =
+    let rev = ref [||] in
+    ( (fun x ->
+        let c = code x in
+        let len = Array.length !rev in
+        if c >= len then begin
+          let r = Array.make (max 16 (max (2 * len) (c + 1))) dummy in
+          Array.blit !rev 0 r 0 len;
+          rev := r
+        end;
+        !rev.(c) <- x;
+        c),
+      fun c -> !rev.(c) )
+
+  let make_ctx ~syms ~value_code ~local_code ~pack ~init =
+    let value_code, value_of = remembering value_code P.Value.init in
+    let local_code, local_of = remembering local_code (snd init).(0) in
+    create ~syms ~value_code ~local_code ~value_of ~local_of ~pack ~init
+
+  let make_codes_ctx ~syms ~value_code ~local_code ~value_of_code
+      ~local_of_code ~init =
+    create ~syms ~value_code ~local_code ~value_of:value_of_code
+      ~local_of:local_of_code ~pack:(fun _ _ -> ()) ~init
+
   let pruned ctx = ctx.pruned
 
+  (* [row] with room for index [c], unknown entries -1 *)
   let grow row c =
     let len = Array.length row in
-    if c < len then row
+    let row' = Array.make (max 64 (max (2 * len) (c + 1))) (-1) in
+    Array.blit row 0 row' 0 len;
+    row'
+
+  (* code of the rho_s-image of the value at code [c]; memoized *)
+  let img_v ctx s c =
+    let row = ctx.vimg.(s) in
+    if c < Array.length row && Array.unsafe_get row c >= 0 then
+      Array.unsafe_get row c
     else begin
-      let row' = Array.make (max 64 (max (2 * len) (c + 1))) None in
-      Array.blit row 0 row' 0 len;
-      row'
+      let row = if c < Array.length row then row else grow row c in
+      ctx.vimg.(s) <- row;
+      let c' =
+        ctx.value_code
+          (P.map_value_ids ctx.syms.(s).rho_map (ctx.value_of c))
+      in
+      row.(c) <- c';
+      c'
     end
 
-  (* (code, value) of the rho_s-image of the value whose code is [c] and
-     whose content is [v]; memoized on (s, c). *)
-  let mapped_v ctx s c v =
-    let row = grow ctx.vtab.(s) c in
-    if row != ctx.vtab.(s) then ctx.vtab.(s) <- row;
-    match row.(c) with
-    | Some cv -> cv
-    | None ->
-      let v' = P.map_value_ids ctx.syms.(s).rho_map v in
-      let cv = (ctx.value_code v', v') in
-      row.(c) <- Some cv;
-      cv
+  let img_l ctx s c =
+    let row = ctx.limg.(s) in
+    if c < Array.length row && Array.unsafe_get row c >= 0 then
+      Array.unsafe_get row c
+    else begin
+      let row = if c < Array.length row then row else grow row c in
+      ctx.limg.(s) <- row;
+      let c' =
+        ctx.local_code
+          (P.map_local_ids ctx.syms.(s).rho_map (ctx.local_of c))
+      in
+      row.(c) <- c';
+      c'
+    end
 
-  let mapped_l ctx s c l =
-    let row = grow ctx.ltab.(s) c in
-    if row != ctx.ltab.(s) then ctx.ltab.(s) <- row;
-    match row.(c) with
-    | Some cl -> cl
-    | None ->
-      let l' = P.map_local_ids ctx.syms.(s).rho_map l in
-      let cl = (ctx.local_code l', l') in
-      row.(c) <- Some cl;
-      cl
+  (* Structural order of two distinct codes, from a direct-mapped memo:
+     slot [h] holds [(key lsl 2) lor (1 + sign)] for the last pair
+     [key = (a lsl 30) lor b] that hashed to it, and a pair that finds
+     another there is compared again. Codes past 2^30 (only wide codecs
+     reach them) skip the memo. *)
+  let order_slot key = (key * 0x2545F4914F6CDD1D) lsr (Sys.int_size - order_bits)
+
+  let cmp_v ctx a b =
+    if (a lor b) lsr 30 <> 0 then
+      P.Value.compare (ctx.value_of a) (ctx.value_of b)
+    else begin
+      let key = (a lsl 30) lor b in
+      let h = order_slot key in
+      let e = ctx.vord.(h) in
+      if e lsr 2 = key then (e land 3) - 1
+      else begin
+        let c = Int.compare (P.Value.compare (ctx.value_of a) (ctx.value_of b)) 0 in
+        ctx.vord.(h) <- (key lsl 2) lor (c + 1);
+        c
+      end
+    end
+
+  let cmp_l ctx a b =
+    if (a lor b) lsr 30 <> 0 then
+      P.compare_local (ctx.local_of a) (ctx.local_of b)
+    else begin
+      let key = (a lsl 30) lor b in
+      let h = order_slot key in
+      let e = ctx.lord.(h) in
+      if e lsr 2 = key then (e land 3) - 1
+      else begin
+        let c = Int.compare (P.compare_local (ctx.local_of a) (ctx.local_of b)) 0 in
+        ctx.lord.(h) <- (key lsl 2) lor (c + 1);
+        c
+      end
+    end
+
+  (* first register slot where sym [s]'s image of [vc] differs from the
+     best [bv], or [m] *)
+  let rec diff_reg ctx s pi_inv vc bv j =
+    if j >= Array.length vc || img_v ctx s vc.(pi_inv.(j)) <> bv.(j) then j
+    else diff_reg ctx s pi_inv vc bv (j + 1)
+
+  let rec diff_proc ctx s sigma_inv lc bl q =
+    if q >= Array.length lc || img_l ctx s lc.(sigma_inv.(q)) <> bl.(q) then q
+    else diff_proc ctx s sigma_inv lc bl (q + 1)
+
+  (* Compare sym [s]'s image of the state with the best so far (the state
+     itself until [moved]), and take it when smaller. [count] is the
+     number of syms seen so far whose image equals the best; returns it
+     updated. A strictly smaller image resets it to 1, so at the end it is
+     exactly the stabilizer order of the minimum (any sym mapping the
+     state to the final best either set it or tied it), and orbit =
+     |G| / |stabilizer|. *)
+  let consider ctx vc lc s count =
+    let sym = ctx.syms.(s) in
+    let m = Array.length vc and n = Array.length lc in
+    let bv = if ctx.moved then ctx.best_vc else vc in
+    let bl = if ctx.moved then ctx.best_lc else lc in
+    let j = diff_reg ctx s sym.pi_inv vc bv 0 in
+    let q = if j < m then 0 else diff_proc ctx s sym.sigma_inv lc bl 0 in
+    if j = m && q = n then count + 1
+    else begin
+      (* code order is noise: the structural order of the first
+         differing pair decides *)
+      let c =
+        if j < m then cmp_v ctx (img_v ctx s vc.(sym.pi_inv.(j))) bv.(j)
+        else cmp_l ctx (img_l ctx s lc.(sym.sigma_inv.(q))) bl.(q)
+      in
+      if c > 0 then begin
+        ctx.pruned <- ctx.pruned + 1;
+        count
+      end
+      else begin
+        for k = 0 to m - 1 do
+          ctx.best_vc.(k) <- img_v ctx s vc.(sym.pi_inv.(k))
+        done;
+        for q = 0 to n - 1 do
+          ctx.best_lc.(q) <- img_l ctx s lc.(sym.sigma_inv.(q))
+        done;
+        ctx.moved <- true;
+        ctx.hint <- s;
+        1
+      end
+    end
+
+  (* The lex-min search over the code vector [vc], [lc]: when the least
+     orbit element is another one, leaves its codes in the best buffers
+     and sets [moved]. Returns the orbit size. *)
+  let search ctx vc lc =
+    ctx.moved <- false;
+    let hint = ctx.hint in
+    let count = ref (if hint = ctx.id_index then 1 else consider ctx vc lc hint 1) in
+    for s = 0 to ctx.order - 1 do
+      if s <> hint && s <> ctx.id_index then count := consider ctx vc lc s !count
+    done;
+    (* orbit-stabilizer: |G| = orbit * stabilizer *)
+    let orbit = ctx.orbits.(!count) in
+    assert (orbit > 0);
+    orbit
+
+  let canon_codes ctx vc lc =
+    let orbit = search ctx vc lc in
+    if ctx.moved then begin
+      for k = 0 to Array.length vc - 1 do
+        vc.(k) <- ctx.best_vc.(k)
+      done;
+      for q = 0 to Array.length lc - 1 do
+        lc.(q) <- ctx.best_lc.(q)
+      done
+    end;
+    orbit
 
   (* Intern the state's codes into the ctx scratch and return its packed
-     key (the key of the state AS IS, before canonicalization — what the
-     explorers' raw-successor cache is indexed by). Must be followed by
-     [canonize_keyed] on the same state before the ctx is reused. *)
+     key (the key of the state AS IS, before canonicalization). Must be
+     followed by [canonize_keyed] on the same state before the ctx is
+     reused. *)
   let state_key ctx mem locals =
-    let m = Array.length mem and n = Array.length locals in
-    for k = 0 to m - 1 do
+    for k = 0 to Array.length mem - 1 do
       ctx.vc.(k) <- ctx.value_code mem.(k)
     done;
-    for q = 0 to n - 1 do
+    for q = 0 to Array.length locals - 1 do
       ctx.lc.(q) <- ctx.local_code locals.(q)
     done;
     ctx.pack ctx.vc ctx.lc
 
-  (* Lex-least orbit element of the state whose codes [state_key] just
-     loaded, its packed key, and the orbit size. [raw] is the key
-     [state_key] returned; it is handed back unchanged when the state is
-     already canonical so the common case packs exactly once. The
-     returned arrays are the inputs themselves when the state is already
-     canonical, fresh copies otherwise — never the scratch buffers. *)
+  (* The structural wrapper over [search]: the representative's values,
+     key and orbit. The returned arrays are the inputs themselves when
+     the state is already canonical, fresh arrays otherwise. *)
   let canonize_keyed ctx ~raw mem locals =
-    let m = Array.length mem and n = Array.length locals in
-    ctx.best_fresh <- false;
-    Array.blit ctx.vc 0 ctx.best_vc 0 m;
-    Array.blit ctx.lc 0 ctx.best_lc 0 n;
-    (* count = number of syms seen so far whose image equals the current
-       best. Whenever a strictly smaller image appears it resets to 1, so
-       at the end it is exactly the stabilizer order of the minimum (any
-       sym mapping the state to the final best either set it or tied
-       it), and orbit = |G| / |stabilizer|. *)
-    let count = ref 1 in
-    let consider s =
-      if s <> ctx.id_index then begin
-        let sym = ctx.syms.(s) in
-        (* first slot where the image differs from best, in code space *)
-        let diff_mem = ref (-1) in
-        let j = ref 0 in
-        while !diff_mem < 0 && !j < m do
-          let src = sym.pi_inv.(!j) in
-          let c, _ = mapped_v ctx s ctx.vc.(src) mem.(src) in
-          if c <> ctx.best_vc.(!j) then diff_mem := !j;
-          incr j
-        done;
-        let diff_loc = ref (-1) in
-        if !diff_mem < 0 then begin
-          let q = ref 0 in
-          while !diff_loc < 0 && !q < n do
-            let src = sym.sigma_inv.(!q) in
-            let c, _ = mapped_l ctx s ctx.lc.(src) locals.(src) in
-            if c <> ctx.best_lc.(!q) then diff_loc := !q;
-            incr q
-          done
-        end;
-        if !diff_mem < 0 && !diff_loc < 0 then incr count
-        else begin
-          (* one structural comparison at the first differing slot
-             decides the direction; codes only witness (in)equality *)
-          let c =
-            if !diff_mem >= 0 then begin
-              let j = !diff_mem in
-              let src = sym.pi_inv.(j) in
-              let _, v = mapped_v ctx s ctx.vc.(src) mem.(src) in
-              let bv = if ctx.best_fresh then ctx.best_mem.(j) else mem.(j) in
-              P.Value.compare v bv
-            end
-            else begin
-              let q = !diff_loc in
-              let src = sym.sigma_inv.(q) in
-              let _, l = mapped_l ctx s ctx.lc.(src) locals.(src) in
-              let bl = if ctx.best_fresh then ctx.best_loc.(q) else locals.(q) in
-              P.compare_local l bl
-            end
-          in
-          if c > 0 then ctx.pruned <- ctx.pruned + 1
-          else begin
-            (* new minimum: materialize its image (memoized slot lookups,
-               no fresh value allocation) into the best buffers *)
-            for k = 0 to m - 1 do
-              let src = sym.pi_inv.(k) in
-              let cc, v = mapped_v ctx s ctx.vc.(src) mem.(src) in
-              ctx.best_vc.(k) <- cc;
-              ctx.best_mem.(k) <- v
-            done;
-            for q = 0 to n - 1 do
-              let src = sym.sigma_inv.(q) in
-              let cc, l = mapped_l ctx s ctx.lc.(src) locals.(src) in
-              ctx.best_lc.(q) <- cc;
-              ctx.best_loc.(q) <- l
-            done;
-            ctx.best_fresh <- true;
-            ctx.hint <- s;
-            count := 1
-          end
-        end
-      end
-    in
-    let hint = ctx.hint in
-    consider hint;
-    for s = 0 to ctx.order - 1 do
-      if s <> hint then consider s
-    done;
-    assert (ctx.order mod !count = 0) (* orbit-stabilizer *);
-    let orbit = ctx.order / !count in
-    if ctx.best_fresh then
-      ( Array.sub ctx.best_mem 0 m,
-        Array.sub ctx.best_loc 0 n,
+    let orbit = search ctx ctx.vc ctx.lc in
+    if ctx.moved then
+      ( Array.map ctx.value_of ctx.best_vc,
+        Array.map ctx.local_of ctx.best_lc,
         ctx.pack ctx.best_vc ctx.best_lc,
         orbit )
     else (mem, locals, raw, orbit)

@@ -21,12 +21,15 @@
     Two canonizers are provided. {!Make.canonize} is the reference
     implementation: it materializes every orbit image and sorts. The
     {!Make.ctx} family is the incremental path the explorers use: the
-    lex-min search runs in the interned code space of the exploration's
-    {!Codec}, memoizes per-automorphism images of every interned value,
-    and rejects most automorphisms at their first differing slot without
-    allocating an image. Both choose the same representative — the
-    structural lex-min — and report the same orbit size; the test suite
-    cross-checks them state by state. *)
+    lex-min search runs as integer work in the interned code space of the
+    exploration's {!Codec}, memoizes the image of every code under every
+    automorphism and the structural order between two codes, and rejects
+    most automorphisms at their first differing slot without building an
+    image. The in-RAM explorer calls it on code vectors
+    ({!Make.canon_codes}); {!Make.state_key} and {!Make.canonize_keyed}
+    are its structural-input wrappers. Both canonizers choose the same
+    representative — the structural lex-min — and report the same orbit
+    size; the test suite cross-checks them state by state. *)
 
 module Make (P : Anonmem.Protocol.PROTOCOL) : sig
   type sym = {
@@ -84,51 +87,75 @@ module Make (P : Anonmem.Protocol.PROTOCOL) : sig
 
   (** {2 Incremental canonicalization} *)
 
-  type ctx
-  (** Reusable canonicalization context: the group as an array, scratch
-      buffers sized to the configuration, and per-automorphism memo
-      tables of value/local images indexed by interned code. One ctx per
-      worker domain; a ctx must not be shared across domains (the codec
-      behind the code closures may be — it is CAS-safe). Reconstructible
-      from the configuration at any time and never serialized. *)
+  type 'k ctx
+  (** Reusable canonicalization context over the interned codes of one
+      exploration's {!Codec}: the group as an array, scratch buffers sized
+      to the configuration, per-automorphism image tables indexed by
+      code, and a memo of the structural order between two codes. ['k] is
+      the key type its [pack] builds. One ctx per worker domain; a ctx
+      must not be shared across domains (the codec behind the code
+      closures may be — it is safe across domains). Reconstructible from
+      the configuration at any time and never serialized. *)
 
   val make_ctx :
     syms:sym list ->
     value_code:(P.Value.t -> int) ->
     local_code:(P.local -> int) ->
-    pack:(int array -> int array -> string) ->
+    pack:(int array -> int array -> 'k) ->
     init:(P.Value.t array * P.local array) ->
-    ctx
+    'k ctx
   (** [make_ctx ~syms ~value_code ~local_code ~pack ~init] builds a ctx
-      for the group [syms]. [value_code]/[local_code] intern values into
-      dense codes that are equality-faithful for [P.Value.compare] /
-      [P.compare_local] (codes need not be order-faithful — the search
-      only ever compares codes for equality, and decides direction with
-      one structural comparison at the first differing slot). [pack]
-      turns a (value-code vector, local-code vector) pair into the
-      explorer's table key ({!Codec.key_of_codes}). [init] is any state
-      of the configuration, used for buffer sizes and witnesses. *)
+      for the group [syms], for {!state_key} and {!canonize_keyed}.
+      [value_code]/[local_code] intern values into dense codes that are
+      equality-faithful for [P.Value.compare] / [P.compare_local] (codes
+      need not be order-faithful — the search compares codes for
+      equality only, and takes direction from the structural order of the
+      first differing pair). The ctx remembers the value behind every
+      code it interns, so it needs no reverse tables. [pack] turns a
+      (value-code vector, local-code vector) pair into the caller's key
+      ({!Codec.key_of_codes}). [init] is any state of the configuration,
+      used for buffer sizes. *)
 
-  val state_key : ctx -> P.Value.t array -> P.local array -> string
+  val make_codes_ctx :
+    syms:sym list ->
+    value_code:(P.Value.t -> int) ->
+    local_code:(P.local -> int) ->
+    value_of_code:(int -> P.Value.t) ->
+    local_of_code:(int -> P.local) ->
+    init:(P.Value.t array * P.local array) ->
+    unit ctx
+  (** A ctx for {!canon_codes}, whose callers hand it codes it did not
+      intern itself: [value_of_code]/[local_of_code] map any code of the
+      codec back to its value ({!Codec.Make.value_of_code}). *)
+
+  val canon_codes : _ ctx -> int array -> int array -> int
+  (** [canon_codes ctx vcodes lcodes] canonizes a state given by its code
+      vector: when the state is not the lex-least element of its orbit,
+      the least element's codes overwrite [vcodes] and [lcodes]. Returns
+      the orbit size. No structural state is built; values are consulted
+      only when an image, or the order between two codes, is not yet
+      memoized. *)
+
+  val state_key : 'k ctx -> P.Value.t array -> P.local array -> 'k
   (** Intern the state's codes into the ctx scratch and return the packed
-      key of the state {e as is} (pre-canonicalization) — the key the
-      explorers' raw-successor cache is indexed by. Must be followed by
-      {!canonize_keyed} on the same state before the ctx is reused. *)
+      key of the state {e as is} (pre-canonicalization). Must be followed
+      by {!canonize_keyed} on the same state before the ctx is reused. *)
 
   val canonize_keyed :
-    ctx -> raw:string -> P.Value.t array -> P.local array ->
-    P.Value.t array * P.local array * string * int
+    'k ctx -> raw:'k -> P.Value.t array -> P.local array ->
+    P.Value.t array * P.local array * 'k * int
   (** [canonize_keyed ctx ~raw mem locals] is the lex-least orbit element
       of the state whose codes the preceding {!state_key} call loaded,
-      together with its packed key and the orbit size. [raw] is the key
-      that {!state_key} call returned; it is handed back as the key when
-      the state is already canonical, so the common case packs exactly
-      once. Agrees with {!canonize} on representative and orbit. Returns
-      the input arrays themselves when the state is already canonical,
-      fresh copies otherwise. *)
+      together with its packed key and the orbit size: the structural
+      wrapper over the search {!canon_codes} runs. [raw] is the key that
+      {!state_key} call returned; it is handed back as the key when the
+      state is already canonical, so the common case packs exactly once.
+      Agrees with {!canonize} on representative and orbit. Returns the
+      input arrays themselves when the state is already canonical, fresh
+      arrays otherwise. *)
 
-  val pruned : ctx -> int
+  val pruned : _ ctx -> int
   (** Automorphisms rejected at their first differing slot without an
-      image being materialized, cumulative over the ctx's lifetime (the
+      image being built, cumulative over the ctx's lifetime (the
       "signature-pruned triples" statistic). *)
 end

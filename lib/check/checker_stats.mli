@@ -74,7 +74,9 @@ type t = {
           incremental canonizer, without an image being materialized *)
   canon_hits : int;
       (** raw successors whose canonical form was served from the
-          per-domain memo instead of a group walk *)
+          raw-successor memo instead of a group walk; the disk-backed
+          explorer keeps that memo, the in-RAM explorer does not, so this
+          reads 0 for in-RAM runs *)
   cutover : int option;
       (** BFS depth at which the explorer switched from its sequential
           warm-up to parallel generations; [None] when the whole run

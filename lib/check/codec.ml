@@ -17,6 +17,35 @@ let () =
            ((1 lsl (8 * width)) - 1))
     | _ -> None)
 
+(* Word keys: slot [i] of a state's code vector occupies bits
+   [i * bits, (i + 1) * bits) of one non-negative int. *)
+let word_bits ~slots = 62 / slots
+
+let pack_word ~bits vcodes lcodes =
+  let m = Array.length vcodes in
+  let key = ref 0 and wide = ref 0 in
+  for q = Array.length lcodes - 1 downto 0 do
+    let c = lcodes.(q) in
+    wide := !wide lor c;
+    key := (!key lsl bits) lor c
+  done;
+  for k = m - 1 downto 0 do
+    let c = vcodes.(k) in
+    wide := !wide lor c;
+    key := (!key lsl bits) lor c
+  done;
+  if !wide lsr bits <> 0 then -1 else !key
+
+let unpack_word ~bits key vcodes lcodes =
+  let mask = (1 lsl bits) - 1 in
+  let m = Array.length vcodes in
+  for k = 0 to m - 1 do
+    vcodes.(k) <- (key lsr (bits * k)) land mask
+  done;
+  for q = 0 to Array.length lcodes - 1 do
+    lcodes.(q) <- (key lsr (bits * (m + q))) land mask
+  done
+
 module Make (P : Protocol.PROTOCOL) = struct
   module VMap = Map.Make (struct
     type t = P.Value.t
@@ -30,43 +59,66 @@ module Make (P : Protocol.PROTOCOL) = struct
     let compare = P.compare_local
   end)
 
-  (* Interning table: a persistent map behind an [Atomic], extended by
-     compare-and-set. Lookups are wait-free; a miss retries its CAS until
-     it wins or someone else interned the same key. [next] rides in the
-     same atomic cell so code assignment and map extension are one
-     linearization point (Map.cardinal is O(n), far too slow to recompute
-     per miss). *)
-  type 'm slot = { map : 'm; next : int }
+  (* Interning table: a persistent map behind an [Atomic], plus the
+     reverse table from code to value. Lookups are wait-free; a miss takes
+     [lock], writes the reverse entry, and only then publishes the
+     extended map, so any domain that holds a code can read its value
+     back. [next] rides in the same atomic cell as the map: code
+     assignment and map extension are one linearization point. *)
+  type ('m, 'a) slot = { map : 'm; next : int; rev : 'a array }
 
   type t = {
-    vcodes : int VMap.t slot Atomic.t;
-    locals : int LMap.t slot Atomic.t;
+    vcodes : (int VMap.t, P.Value.t) slot Atomic.t;
+    locals : (int LMap.t, P.local) slot Atomic.t;
+    lock : Mutex.t;
     width : int;  (* bytes per packed slot: 3 (default) or 4 (wide) *)
   }
 
-  (* Two concrete copies of the interning loop: first-class functors over
-     two different Map instantiations buy nothing here. *)
-  let rec value_code t v =
-    let s = Atomic.get t.vcodes in
-    match VMap.find_opt v s.map with
-    | Some c -> c
-    | None ->
-      if
-        Atomic.compare_and_set t.vcodes s
-          { map = VMap.add v s.next s.map; next = s.next + 1 }
-      then s.next
-      else value_code t v
+  (* [rev] with [x] at index [i] = the next code. Entries below [i] are
+     never written again, so readers of an older array stay correct. *)
+  let extend rev i x =
+    if i < Array.length rev then begin
+      rev.(i) <- x;
+      rev
+    end
+    else begin
+      let r = Array.make (max 16 (2 * i)) x in
+      Array.blit rev 0 r 0 i;
+      r
+    end
 
-  let rec local_code t l =
-    let s = Atomic.get t.locals in
-    match LMap.find_opt l s.map with
+  (* Two concrete copies of the intern function: first-class functors
+     over two different Map instantiations buy nothing here. *)
+  let value_code t v =
+    match VMap.find_opt v (Atomic.get t.vcodes).map with
     | Some c -> c
     | None ->
-      if
-        Atomic.compare_and_set t.locals s
-          { map = LMap.add l s.next s.map; next = s.next + 1 }
-      then s.next
-      else local_code t l
+      Mutex.protect t.lock (fun () ->
+          let s = Atomic.get t.vcodes in
+          match VMap.find_opt v s.map with
+          | Some c -> c
+          | None ->
+            let rev = extend s.rev s.next v in
+            Atomic.set t.vcodes
+              { map = VMap.add v s.next s.map; next = s.next + 1; rev };
+            s.next)
+
+  let local_code t l =
+    match LMap.find_opt l (Atomic.get t.locals).map with
+    | Some c -> c
+    | None ->
+      Mutex.protect t.lock (fun () ->
+          let s = Atomic.get t.locals in
+          match LMap.find_opt l s.map with
+          | Some c -> c
+          | None ->
+            let rev = extend s.rev s.next l in
+            Atomic.set t.locals
+              { map = LMap.add l s.next s.map; next = s.next + 1; rev };
+            s.next)
+
+  let value_of_code t c = (Atomic.get t.vcodes).rev.(c)
+  let local_of_code t c = (Atomic.get t.locals).rev.(c)
 
   (* Three bytes per slot by default: 16.7M distinct codes dwarfs any
      state budget the in-RAM explorer accepts, and fixed width keeps
@@ -78,8 +130,9 @@ module Make (P : Protocol.PROTOCOL) = struct
      at the width of the interrupted one. *)
   let create ?(wide = false) () =
     {
-      vcodes = Atomic.make { map = VMap.empty; next = 0 };
-      locals = Atomic.make { map = LMap.empty; next = 0 };
+      vcodes = Atomic.make { map = VMap.empty; next = 0; rev = [||] };
+      locals = Atomic.make { map = LMap.empty; next = 0; rev = [||] };
+      lock = Mutex.create ();
       width = (if wide then 4 else 3);
     }
 
@@ -89,8 +142,9 @@ module Make (P : Protocol.PROTOCOL) = struct
 
   (* Plain-data image of the interning tables, for durable snapshots. The
      persistent maps hold only protocol values/locals and ints, so the
-     dump marshals cleanly; [of_dump] rebuilds a live context whose
-     encodings are byte-identical to the dumped one's. *)
+     dump marshals cleanly; [of_dump] rebuilds a live context, reverse
+     tables included, whose encodings are byte-identical to the dumped
+     one's. *)
   type dump = {
     d_values : int VMap.t;
     d_nvalues : int;
@@ -105,9 +159,25 @@ module Make (P : Protocol.PROTOCOL) = struct
       d_nlocals = l.next; d_width = t.width }
 
   let of_dump d =
+    let rev iter map next =
+      let r = ref [||] in
+      iter
+        (fun x c ->
+          if Array.length !r = 0 then r := Array.make next x;
+          !r.(c) <- x)
+        map;
+      !r
+    in
     {
-      vcodes = Atomic.make { map = d.d_values; next = d.d_nvalues };
-      locals = Atomic.make { map = d.d_locals; next = d.d_nlocals };
+      vcodes =
+        Atomic.make
+          { map = d.d_values; next = d.d_nvalues;
+            rev = rev VMap.iter d.d_values d.d_nvalues };
+      locals =
+        Atomic.make
+          { map = d.d_locals; next = d.d_nlocals;
+            rev = rev LMap.iter d.d_locals d.d_nlocals };
+      lock = Mutex.create ();
       width = d.d_width;
     }
 
@@ -147,6 +217,25 @@ module Make (P : Protocol.PROTOCOL) = struct
       put ~kind:"local" ~width b (m + q) lcodes.(q)
     done;
     Bytes.unsafe_to_string b
+
+  let codes_of_key t key vcodes lcodes =
+    let width = t.width in
+    let get i =
+      let o = width * i in
+      let c =
+        Char.code key.[o]
+        lor (Char.code key.[o + 1] lsl 8)
+        lor (Char.code key.[o + 2] lsl 16)
+      in
+      if width = 4 then c lor (Char.code key.[o + 3] lsl 24) else c
+    in
+    let m = Array.length vcodes in
+    for k = 0 to m - 1 do
+      vcodes.(k) <- get k
+    done;
+    for q = 0 to Array.length lcodes - 1 do
+      lcodes.(q) <- get (m + q)
+    done
 
   let encode_solo t ~proc local mem =
     let width = t.width in

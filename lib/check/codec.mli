@@ -1,21 +1,34 @@
 (** Compact state encoding for the explorers.
 
     Register values and local states are interned on the fly into dense
-    integer codes, and a global state is packed into a short [string] key
-    (3 bytes per slot by default, little-endian): first the [m] register
-    codes, then the [n] local-state codes. Keys replace structural states
-    in the explorers' hash tables — hashing and equality on a short flat
-    string instead of a deep OCaml value.
+    integer codes, and a global state is keyed by its code vector: first
+    the [m] register codes, then the [n] local-state codes. Two key
+    forms exist:
+
+    - a {e word key} packs the vector into one non-negative [int], with
+      [word_bits ~slots:(m + n)] = ⌊62 / (m + n)⌋ bits per slot
+      ({!pack_word}). The in-RAM explorer interns word keys into an
+      open-addressing [int] table;
+    - a {e string key} packs it into a short [string], 3 bytes per slot
+      by default, little-endian ({!Make.encode}, {!Make.key_of_codes}).
+      The disk-backed explorer and the reference explorer key every
+      state this way, and the in-RAM explorer keys the states whose codes
+      do not fit a word this way (the overflow). A state's codes never
+      change within a run, so a state is always keyed the same way.
 
     Interning is keyed by the protocol's own structural orders
     ([Value.compare], [compare_local]), so two states receive equal keys
     iff they are structurally equal. Codes are discovery-order dependent:
     keys from different [t] values (or different runs) are not
     comparable, and nothing outside one exploration may rely on a
-    particular code assignment.
+    particular code assignment. Every code maps back to the value or
+    local it was interned from ({!Make.value_of_code},
+    {!Make.local_of_code}), so an explorer can work on codes alone and
+    build a structural state only when it needs one.
 
-    The tables are lock-free (persistent maps behind [Atomic.t] with
-    CAS-extension) and safe to share across domains. *)
+    The tables are safe to share across domains: lookups are lock-free
+    reads of a persistent map behind an [Atomic.t], and a miss interns
+    under a lock. *)
 
 exception Overflow of { kind : string; code : int; width : int }
 (** Raised when an interned code does not fit the context's key width
@@ -24,6 +37,18 @@ exception Overflow of { kind : string; code : int; width : int }
     violation. Recover by re-running with [create ~wide:true] (4-byte
     slots, max 2³² − 1 codes). [kind] names the overflowing table
     ("value", "local" or "proc"). *)
+
+val word_bits : slots:int -> int
+(** Bits per slot of a word key for [slots = m + n] slots: ⌊62 / slots⌋. *)
+
+val pack_word : bits:int -> int array -> int array -> int
+(** [pack_word ~bits vcodes lcodes] is the word key of a code vector
+    ([vcodes] in the low slots), or [-1] when some code needs more than
+    [bits] bits. *)
+
+val unpack_word : bits:int -> int -> int array -> int array -> unit
+(** [unpack_word ~bits key vcodes lcodes] writes the code vector of a
+    word key into [vcodes] and [lcodes]. *)
 
 module Make (P : Anonmem.Protocol.PROTOCOL) : sig
   type t
@@ -49,6 +74,10 @@ module Make (P : Anonmem.Protocol.PROTOCOL) : sig
       works on codes and never re-touches the values.
       @raise Overflow as for [encode]. *)
 
+  val codes_of_key : t -> string -> int array -> int array -> unit
+  (** [codes_of_key t key vcodes lcodes] writes the code vector of a key
+      made by {!encode} or {!key_of_codes} into [vcodes] and [lcodes]. *)
+
   val encode_solo : t -> proc:int -> P.local -> P.Value.t array -> string
   (** Key for a (process, local state, memory) triple — the full input of
       a deterministic solo run, used to memoize obstruction-freedom
@@ -60,6 +89,12 @@ module Make (P : Anonmem.Protocol.PROTOCOL) : sig
 
   val local_code : t -> P.local -> int
   (** Dense code of one local state (interning it if new). *)
+
+  val value_of_code : t -> int -> P.Value.t
+  (** The value interned at a code, from any domain that holds the code. *)
+
+  val local_of_code : t -> int -> P.local
+  (** The local state interned at a code. *)
 
   val n_values : t -> int
   (** Number of distinct register values interned so far. *)
@@ -79,5 +114,6 @@ module Make (P : Anonmem.Protocol.PROTOCOL) : sig
 
   val of_dump : dump -> t
   (** A fresh context that continues the dumped one: already-interned
-      values keep their codes; new values extend from where it left off. *)
+      values keep their codes (and map back to them); new values extend
+      from where it left off. *)
 end

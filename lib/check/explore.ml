@@ -111,7 +111,7 @@ module Make (P : Protocol.PROTOCOL) = struct
      configuration alone — never serialized into snapshots; a resumed run
      starts with cold caches and produces the same graph bit for bit. *)
   type canon_cache = {
-    inc : Cn.ctx option;  (* [Some] iff the group is non-trivial *)
+    inc : string Cn.ctx option;  (* [Some] iff the group is non-trivial *)
     memo : (string, state * string * int) Hashtbl.t;
     mutable hits : int;
   }
@@ -614,34 +614,175 @@ module Make (P : Protocol.PROTOCOL) = struct
     r_cutover : int option;
   }
 
+  (* The in-RAM store explores in code space. A state is its code vector
+     (DESIGN.md §5), keyed by one word when every code fits
+     [Codec.word_bits] bits and by its codec string otherwise; a state's
+     codes never change within a run, so the word table and the string
+     table partition the visited set. One step changes at most one
+     register and one local, so a successor's key is its parent's with at
+     most two slots rewritten, and what each process's step does to a
+     local code (and, for reads and RMWs, to a value code) is memoized per
+     domain. A structural state is built, from the codec's reverse
+     tables, only for a key that is new. *)
+
+  (* What one process does from one local code. A [next] packs the new
+     local code with the transition's [enters_cs] bit:
+     [(code lsl 1) lor bit]. *)
+  type step_memo =
+    | Unknown
+    | Halted  (* decided: takes no step *)
+    | Moves of int  (* [Internal] *)
+    | Flips of int * int  (* [Coin]: next on [true], next on [false] *)
+    | Writes of { phys : int; v : int; next : int }
+    | Reads of {
+        phys : int;
+        crit : bool;  (* in the critical section before the step *)
+        k : P.Value.t -> P.local;
+        mutable by_v : int array;  (* next per value code; -1 unknown *)
+      }
+    | Swaps of {
+        phys : int;
+        crit : bool;
+        f : P.Value.t -> P.Value.t * P.local;
+        mutable by_v : int array;
+            (* new value code at [2c], next at [2c + 1]; -1 unknown *)
+      }
+
+  (* Growable buffers: [int] ones are monomorphic so their array accesses
+     stay unboxed. *)
+  type 'a vec = { mutable items : 'a array; mutable size : int }
+
+  let vec () = { items = [||]; size = 0 }
+
+  let push v x =
+    if v.size = Array.length v.items then begin
+      let a = Array.make (max 16 (2 * v.size)) x in
+      Array.blit v.items 0 a 0 v.size;
+      v.items <- a
+    end;
+    Array.unsafe_set v.items v.size x;
+    v.size <- v.size + 1
+
+  let ipush (v : int vec) x =
+    if v.size = Array.length v.items then begin
+      let a = Array.make (max 64 (2 * v.size)) 0 in
+      Array.blit v.items 0 a 0 v.size;
+      v.items <- a
+    end;
+    Array.unsafe_set v.items v.size x;
+    v.size <- v.size + 1
+
+  let take v =
+    let a = Array.sub v.items 0 v.size in
+    v.size <- 0;
+    a
+
+  (* A mapped chunk. [ints] holds, per frontier state, its candidate
+     count and then one entry per candidate: [(id lsl 21) lor (label lsl
+     1)] for a state the frozen tables know, [(label lsl 1) lor 1] for an
+     unresolved one. The unresolved candidates' keys and orbits sit apart,
+     densely, for domain 0 to intern: [ukeys] holds a key and an orbit for
+     each, and interning fills [verdicts] with their id assignments. The
+     key is a word key, -1 for the chunk's next string key, or [-2 - u]
+     for the word key of the chunk's earlier unresolved candidate [u]:
+     most unresolved candidates are found again within their chunk, and
+     those repeats need no table. *)
+  type mapped = {
+    ints : int vec;
+    ukeys : int vec;
+    strings : string vec;
+    verdicts : int vec;
+    mutable cands : int;  (* candidates in the chunk *)
+  }
+
+  let mapped () =
+    { ints = vec (); ukeys = vec (); strings = vec (); verdicts = vec (); cands = 0 }
+
+  (* A visited set: word keys in [shards] open-addressing tables picked by
+     hash, so that merging a wide generation's keys splits into
+     independent tasks; string keys in one hash table. *)
+  type visited = { v_words : Inttbl.t array; v_strs : (string, int) Hashtbl.t }
+
+  let shards = 16
+  let shard w = (w * 0x1F42D4C957F2D853) lsr (Sys.int_size - 4)
+
+  let visited () =
+    { v_words = Array.init shards (fun _ -> Inttbl.create 64);
+      v_strs = Hashtbl.create 16 }
+
+  (* the id of a word key [w], or of the string key [s] when [w < 0]; -1
+     when absent *)
+  let find v w s =
+    if w >= 0 then Inttbl.find v.v_words.(shard w) w
+    else match Hashtbl.find_opt v.v_strs s with Some id -> id | None -> -1
+
+  let add v w s id =
+    if w >= 0 then Inttbl.add v.v_words.(shard w) w id
+    else Hashtbl.add v.v_strs s id
+
+  (* One domain's code-space context. *)
+  type space = {
+    memo : step_memo array array;  (* memo.(p).(local code) *)
+    canon : unit Cn.ctx option;  (* [Some] iff the group is non-trivial *)
+    pv : int array;  (* codes of the state being expanded *)
+    pl : int array;
+    sv : int array;  (* codes of its successor *)
+    sl : int array;
+    mutable skey : string;  (* the successor's key when it has no word *)
+    mutable orbit : int;  (* the successor's orbit size *)
+    mutable out : mapped;  (* the chunk being mapped *)
+    mutable ncand : int;
+    seen : Inttbl.t;  (* the chunk's unresolved word keys, by index *)
+    tr_dst : int array;  (* the transitions of the state being built *)
+    tr_lbl : int array;
+    mutable ntr : int;
+  }
+
+  (* Keys of a frontier, aligned with its states: a word key, or
+     [-1 - i] for the string [strs.(i)]. *)
+  type keys = { words : int array; strs : string array }
+
   (* Wide generations. Narrow ones (frontier below [par_threshold]) run
-     inline on domain 0. In a wide one any domain may map a chunk of the
-     frontier to its successors' representatives, keys and orbits, while
-     domain 0 interns the mapped chunks in frontier order through the
-     inline generation's [intern], so the ids are the sequential ids on
-     every schedule. Supervising a pure chunk means mapping it again:
-     domain 0 maps any chunk whose worker died or has held it past
-     [stall_patience_s] itself, and respawns dead workers (at most
+     inline on domain 0. A wide one freezes the visited tables while it
+     runs: any domain may map a chunk of the frontier to its successors'
+     labels, keys and orbits, resolving each key it finds in the frozen
+     tables to its id; domain 0 interns the rest, chunk by chunk in
+     frontier order, into a per-generation table that is merged into the
+     visited tables at the boundary. The ids are therefore the sequential
+     ids on every schedule. Supervising a pure chunk means mapping it
+     again: domain 0 maps any chunk whose worker died or has held it
+     past [stall_patience_s] itself, and respawns dead workers (at most
      [max_respawns] times each, counted in [restarts]) at the next wide
      generation. *)
 
-  (* One mapped candidate: everything [intern] needs, computed off
-     domain 0. *)
-  type cand = { c_label : label; c_rep : state; c_key : string; c_orbit : int }
-
   (* One wide generation, published to the workers as one atomic record.
-     Chunk [c] covers frontier indices [c * w_chunk, (c + 1) * w_chunk).
-     Claims go through [w_next]; the claimer records itself in
-     [w_owner.(c)] and publishes [w_out.(c)] by setting [w_done.(c)].
-     [w_interning] is the chunk domain 0 interns next. *)
+     Chunk [c] covers frontier indices [c * w_chunk, (c + 1) * w_chunk)
+     and passes through three tasks: any domain maps it (claimed through
+     [w_next], published in [w_out]), domain 0 interns it in order
+     ([w_interned] counts the chunks interned), and any domain builds it
+     (claimed through [w_build_next], published in [w_built_out]). Once
+     every chunk is interned, any domain merges the generation's new keys
+     into one shard of the visited set ([w_merge_next]). The claimer of a
+     task records itself in [w_mapper]/[w_builder]/[w_merger] and sets its
+     flag when done. *)
   type wide = {
-    w_frontier : state array;
+    w_keys : keys;
     w_chunk : int;
     w_next : int Atomic.t;
-    w_interning : int Atomic.t;
-    w_owner : int Atomic.t array;
-    w_done : bool Atomic.t array;
-    w_out : cand list array array;
+    w_mapper : int Atomic.t array;
+    w_mapped : bool Atomic.t array;
+    w_out : mapped array;
+    w_interned : int Atomic.t;
+    w_interned_out : mapped array;
+    w_build_next : int Atomic.t;
+    w_builder : int Atomic.t array;
+    w_built : bool Atomic.t array;
+    w_built_out : (transition list array * state array) array;
+    w_reuse : mapped array;  (* buffers free for mapping *)
+    w_reuse_next : int Atomic.t;
+    w_merge_next : int Atomic.t;
+    w_merger : int Atomic.t array;
+    w_merged : bool Atomic.t array;
   }
 
   let stall_patience_s = 0.05
@@ -654,33 +795,218 @@ module Make (P : Protocol.PROTOCOL) = struct
     let codec =
       match sp with Some sp -> Cd.of_dump sp.sp_codec | None -> Cd.create ()
     in
-    (* one reduction context per domain: ctxs are single-threaded, the
-       codec behind them is shared (and CAS-safe) *)
-    let fresh_canon_cache () = make_canon_cache codec syms (initial cfg) in
-    let ccs = Array.init d (fun _ -> fresh_canon_cache ()) in
-    let table : (string, int) Hashtbl.t = Hashtbl.create 1024 in
+    let n = Array.length cfg.ids and m = Naming.size cfg.namings.(0) in
+    let bits = Codec.word_bits ~slots:(m + n) in
+    let value_of = Cd.value_of_code codec
+    and local_of = Cd.local_of_code codec in
+    let labels =
+      Array.init (2 * n) (fun i -> { proc = i / 2; enters_cs = i land 1 = 1 })
+    in
+    let st0 = initial cfg in
+    (* one context per domain: step memos and canonizers are
+       single-threaded, the codec behind them is shared *)
+    let fresh_space () =
+      {
+        memo = Array.make n [||];
+        canon =
+          (match syms with
+          | [] | [ _ ] -> None
+          | syms ->
+            Some
+              (Cn.make_codes_ctx ~syms ~value_code:(Cd.value_code codec)
+                 ~local_code:(Cd.local_code codec) ~value_of_code:value_of
+                 ~local_of_code:local_of ~init:(st0.mem, st0.locals)));
+        pv = Array.make m 0;
+        pl = Array.make n 0;
+        sv = Array.make m 0;
+        sl = Array.make n 0;
+        skey = "";
+        orbit = 1;
+        out = mapped ();
+        ncand = 0;
+        seen = Inttbl.create 256;
+        tr_dst = Array.make (2 * n) 0;
+        tr_lbl = Array.make (2 * n) 0;
+        ntr = 0;
+      }
+    in
+    let spaces = Array.init d (fun _ -> fresh_space ()) in
+    (* ---------------- steps and keys in code space ----------------- *)
+    let next_of ~crit l =
+      let bit =
+        match P.status l with
+        | Protocol.Critical when not crit -> 1
+        | _ -> 0
+      in
+      (Cd.local_code codec l lsl 1) lor bit
+    in
+    let step_of sp p lc =
+      let row = sp.memo.(p) in
+      match if lc < Array.length row then row.(lc) else Unknown with
+      | Unknown ->
+        let l = local_of lc in
+        let phys j = Naming.apply cfg.namings.(p) j in
+        let s =
+          match P.status l with
+          | Protocol.Decided _ -> Halted
+          | status -> (
+            let crit = status = Protocol.Critical in
+            match P.step ~n ~m ~id:cfg.ids.(p) l with
+            | Protocol.Read (j, k) -> Reads { phys = phys j; crit; k; by_v = [||] }
+            | Protocol.Write (j, v, l') ->
+              Writes
+                { phys = phys j; v = Cd.value_code codec v; next = next_of ~crit l' }
+            | Protocol.Rmw (j, f) -> Swaps { phys = phys j; crit; f; by_v = [||] }
+            | Protocol.Internal l' -> Moves (next_of ~crit l')
+            | Protocol.Coin k ->
+              Flips (next_of ~crit (k true), next_of ~crit (k false)))
+        in
+        let row =
+          if lc < Array.length row then row
+          else begin
+            let r = Array.make (max 16 (2 * lc)) Unknown in
+            Array.blit row 0 r 0 (Array.length row);
+            sp.memo.(p) <- r;
+            r
+          end
+        in
+        row.(lc) <- s;
+        s
+      | s -> s
+    in
+    (* [by_v] with room for [i] *)
+    let room by_v i =
+      if i < Array.length by_v then by_v
+      else begin
+        let a = Array.make (max 16 (2 * i)) (-1) in
+        Array.blit by_v 0 a 0 (Array.length by_v);
+        a
+      end
+    in
+    (* The key of a code vector: its word, or -1 with its string key in
+       [sp.skey]. *)
+    let key_of sp vc lc =
+      let w = Codec.pack_word ~bits vc lc in
+      if w < 0 then sp.skey <- Cd.key_of_codes codec vc lc;
+      w
+    in
+    (* The key of the successor in which process [p] moved to local code
+       [l] and, when [reg >= 0], wrote value code [v] to register [reg];
+       [pw] is the parent's word key, or -1. Returns the successor's word
+       key, or -1 with its string key in [sp.skey]; sets [sp.orbit]. *)
+    let succ_key sp ~pw ~p ~reg ~v ~l =
+      match sp.canon with
+      | None when pw >= 0 && (l lor v) lsr bits = 0 ->
+        sp.orbit <- 1;
+        let w = pw lxor ((sp.pl.(p) lxor l) lsl (bits * (m + p))) in
+        if reg < 0 then w else w lxor ((sp.pv.(reg) lxor v) lsl (bits * reg))
+      | canon ->
+        for k = 0 to m - 1 do
+          sp.sv.(k) <- sp.pv.(k)
+        done;
+        for q = 0 to n - 1 do
+          sp.sl.(q) <- sp.pl.(q)
+        done;
+        if reg >= 0 then sp.sv.(reg) <- v;
+        sp.sl.(p) <- l;
+        sp.orbit <-
+          (match canon with
+          | None -> 1
+          | Some cx -> Cn.canon_codes cx sp.sv sp.sl);
+        key_of sp sp.sv sp.sl
+    in
+    (* Load frontier key [i] into [sp.pv]/[sp.pl]; its word key or -1. *)
+    let load sp keys i =
+      let w = keys.words.(i) in
+      if w >= 0 then Codec.unpack_word ~bits w sp.pv sp.pl
+      else Cd.codes_of_key codec keys.strs.(-1 - w) sp.pv sp.pl;
+      w
+    in
+    (* Every successor of the loaded state, in [successors] order: [emit sp
+       label key] right after [succ_key] computed it. *)
+    let succ sp ~pw ~p emit next ~reg ~v =
+      emit sp ((2 * p) lor (next land 1))
+        (succ_key sp ~pw ~p ~reg ~v ~l:(next lsr 1))
+    in
+    let expand sp ~pw emit =
+      for p = 0 to n - 1 do
+        match step_of sp p sp.pl.(p) with
+        | Unknown | Halted -> ()
+        | Moves next -> succ sp ~pw ~p emit next ~reg:(-1) ~v:0
+        | Flips (a, b) ->
+          succ sp ~pw ~p emit a ~reg:(-1) ~v:0;
+          succ sp ~pw ~p emit b ~reg:(-1) ~v:0
+        | Writes { phys; v; next } -> succ sp ~pw ~p emit next ~reg:phys ~v
+        | Reads r ->
+          let c = sp.pv.(r.phys) in
+          if c >= Array.length r.by_v || r.by_v.(c) < 0 then begin
+            r.by_v <- room r.by_v c;
+            r.by_v.(c) <- next_of ~crit:r.crit (r.k (value_of c))
+          end;
+          succ sp ~pw ~p emit r.by_v.(c) ~reg:(-1) ~v:0
+        | Swaps r ->
+          let c = sp.pv.(r.phys) in
+          if (2 * c) + 1 >= Array.length r.by_v || r.by_v.(2 * c) < 0 then begin
+            let v', l' = r.f (value_of c) in
+            r.by_v <- room r.by_v ((2 * c) + 1);
+            r.by_v.(2 * c) <- Cd.value_code codec v';
+            r.by_v.((2 * c) + 1) <- next_of ~crit:r.crit l'
+          end;
+          succ sp ~pw ~p emit r.by_v.((2 * c) + 1) ~reg:r.phys
+            ~v:r.by_v.(2 * c)
+      done
+    in
+    (* the structural state of a code vector *)
+    let state_of vc lc =
+      { mem = Array.map value_of vc; locals = Array.map local_of lc }
+    in
+    (* the visited set, and a wide generation's own one, merged into it
+       at the generation's boundary *)
+    let known = visited () and gen = visited () in
     let states_chunks = ref [] and orbits_chunks = ref [] in
     let trans_chunks = ref [] in
     let n_states = ref 0 in
     let cutover = ref None and restarts = ref 0 in
+    (* the frontier's keys *)
+    let frontier = ref { words = [||]; strs = [||] } in
+    let keys_of_states sts =
+      let sp = spaces.(0) and strs = vec () in
+      let words =
+        Array.map
+          (fun st ->
+            let vc = Array.map (Cd.value_code codec) st.mem in
+            let lc = Array.map (Cd.local_code codec) st.locals in
+            let w = key_of sp vc lc in
+            if w >= 0 then w
+            else begin
+              push strs sp.skey;
+              - strs.size
+            end)
+          sts
+      in
+      { words; strs = take strs }
+    in
     let resumed =
       Option.map
         (fun sp ->
-          (* rebuild the intern table: the codec dump keeps re-encoded
-             keys consistent with the interrupted run's, and states in a
-             snapshot are already canonical *)
+          (* rebuild the visited set: the codec dump keeps the codes of
+             the interrupted run, and states in a snapshot are already
+             canonical *)
+          let all = keys_of_states sp.sp_states in
           Array.iteri
-            (fun id st ->
-              Hashtbl.add table (Cd.encode codec st.mem st.locals) id)
-            sp.sp_states;
+            (fun id w ->
+              add known w (if w >= 0 then "" else all.strs.(-1 - w)) id)
+            all.words;
           let n = Array.length sp.sp_states and k = Array.length sp.sp_succs in
+          let front = Array.sub sp.sp_states k (n - k) in
+          frontier := keys_of_states front;
           states_chunks := [ sp.sp_states ];
           orbits_chunks := [ sp.sp_orbits ];
           if k > 0 then trans_chunks := [ sp.sp_succs ];
           n_states := n;
           cutover := sp.sp_cutover;
           ( {
-              frontier = Array.sub sp.sp_states k (n - k);
+              frontier = front;
               n_states = n;
               n_transitions =
                 Array.fold_left
@@ -697,54 +1023,90 @@ module Make (P : Protocol.PROTOCOL) = struct
         sp
     in
     let seed () =
-      let rep, key, orbit = canonize_cached ccs.(0) codec (initial cfg) in
-      Hashtbl.add table key 0;
+      let sp = spaces.(0) in
+      let vc = Array.map (Cd.value_code codec) st0.mem in
+      let lc = Array.map (Cd.local_code codec) st0.locals in
+      let orbit =
+        match sp.canon with Some cx -> Cn.canon_codes cx vc lc | None -> 1
+      in
+      let w = key_of sp vc lc in
+      add known w sp.skey 0;
+      frontier :=
+        { words = [| (if w >= 0 then w else -1) |];
+          strs = (if w >= 0 then [||] else [| sp.skey |]) };
+      let rep = state_of vc lc in
       n_states := 1;
       states_chunks := [ [| rep |] ];
       orbits_chunks := [ [| orbit |] ];
       (rep, orbit)
     in
+    (* ---------------- one generation ----------------- *)
     (* The one id assignment, shared by both kinds of generation. Called
-       on the candidates in discovery order; returns the candidate's id,
-       or -1 when the budget drops a new state. *)
+       on the candidates in discovery order with the candidate's key (word
+       [w], or string [s] when [w < 0]) and the tables it is interned
+       into. Returns [(id lsl 1) lor 1] for a new state, [id lsl 1] for a
+       known one, and -1 when the budget drops a new state. *)
     let gen_cand = ref 0 and gen_dups = ref 0 in
     let gen_dropped = ref 0 and gen_orbit_sum = ref 0 in
-    let gen_fresh = ref [] and gen_orbs = ref [] in
-    let intern rep key orbit =
+    let fresh_orbits = vec () and fresh_words = vec () in
+    let fresh_strs = vec () in
+    let assign v ~orbit w s =
       incr gen_cand;
-      match Hashtbl.find_opt table key with
-      | Some id ->
-        incr gen_dups;
-        id
-      | None when !n_states >= max_states ->
+      match find v w s with
+      | -1 when !n_states >= max_states ->
         incr gen_dropped;
         -1
-      | None ->
+      | -1 ->
         let id = !n_states in
         incr n_states;
-        Hashtbl.add table key id;
+        add v w s id;
+        if w >= 0 then ipush fresh_words w
+        else begin
+          push fresh_strs s;
+          ipush fresh_words (- fresh_strs.size)
+        end;
+        ipush fresh_orbits orbit;
         gen_orbit_sum := !gen_orbit_sum + orbit;
-        gen_fresh := rep :: !gen_fresh;
-        gen_orbs := orbit :: !gen_orbs;
-        id
+        (id lsl 1) lor 1
+      | id ->
+        incr gen_dups;
+        id lsl 1
     in
-    (* Run one generation: [expand i] must return frontier state [i]'s
-       transition list, interning its candidates in successor order; it
-       is called for i = 0, 1, ... in turn. *)
-    let run_gen frontier expand =
+    (* the structural state of a key, decoded in [sp]'s scratch *)
+    let state_of_key sp w s =
+      if w >= 0 then Codec.unpack_word ~bits w sp.sv sp.sl
+      else Cd.codes_of_key codec s sp.sv sp.sl;
+      state_of sp.sv sp.sl
+    in
+    (* the transitions of one state, built back to front *)
+    let add_tr sp dst lbl =
+      sp.tr_dst.(sp.ntr) <- dst;
+      sp.tr_lbl.(sp.ntr) <- lbl;
+      sp.ntr <- sp.ntr + 1
+    in
+    let transitions sp =
+      let rec go i acc =
+        if i < 0 then acc
+        else
+          go (i - 1)
+            ({ dst = sp.tr_dst.(i); label = labels.(sp.tr_lbl.(i)) } :: acc)
+      in
+      let l = go (sp.ntr - 1) [] in
+      sp.ntr <- 0;
+      l
+    in
+    let start_gen () =
       gen_cand := 0;
       gen_dups := 0;
       gen_dropped := 0;
-      gen_orbit_sum := 0;
-      let tr = Array.make (Array.length frontier) [] in
-      for i = 0 to Array.length tr - 1 do
-        tr.(i) <- expand i
-      done;
-      let fresh = Array.of_list (List.rev !gen_fresh) in
-      let orbs = Array.of_list (List.rev !gen_orbs) in
-      gen_fresh := [];
-      gen_orbs := [];
-      trans_chunks := tr :: !trans_chunks;
+      gen_orbit_sum := 0
+    in
+    (* End a generation: [trs] are the frontier's transition lists, in
+       chunks, and [fresh] the new states in id order. *)
+    let finish_gen trs fresh =
+      let orbs = take fresh_orbits in
+      frontier := { words = take fresh_words; strs = take fresh_strs };
+      List.iter (fun tr -> trans_chunks := tr :: !trans_chunks) trs;
       if Array.length fresh > 0 then begin
         states_chunks := fresh :: !states_chunks;
         orbits_chunks := orbs :: !orbits_chunks
@@ -757,78 +1119,245 @@ module Make (P : Protocol.PROTOCOL) = struct
         g_dropped = !gen_dropped;
       }
     in
-    let rec intern_succs = function
-      | [] -> []
-      | (label, st') :: rest ->
-        let rep, key, orbit = canonize_cached ccs.(0) codec st' in
-        let dst = intern rep key orbit in
-        if dst < 0 then intern_succs rest
-        else { dst; label } :: intern_succs rest
+    let fresh = vec () in
+    let emit_inline sp lbl w =
+      match assign known ~orbit:sp.orbit w sp.skey with
+      | -1 -> ()
+      | r ->
+        if r land 1 = 1 then push fresh (state_of_key sp w sp.skey);
+        add_tr sp (r lsr 1) lbl
     in
-    let expand_inline fr =
-      run_gen fr (fun i ->
-          (* fault seam: a matured kill/stall for domain 0 fires here *)
-          Resilience.worker_tick ~domain:0;
-          intern_succs (successors cfg fr.(i)))
+    let expand_inline () =
+      let sp = spaces.(0) and keys = !frontier in
+      start_gen ();
+      let tr =
+        Array.init (Array.length keys.words) (fun i ->
+            (* fault seam: a matured kill/stall for domain 0 fires here *)
+            Resilience.worker_tick ~domain:0;
+            expand sp ~pw:(load sp keys i) emit_inline;
+            transitions sp)
+      in
+      finish_gen [ tr ] (take fresh)
     in
-    (* ---------------- the crew: map on every domain ----------------- *)
-    let map_chunk ~domain w c =
-      let cc = ccs.(domain) in
+    (* ---------------- the crew: map and build on every domain -------- *)
+    let emit_mapped sp lbl w =
+      sp.ncand <- sp.ncand + 1;
+      let o = sp.out in
+      match find known w sp.skey with
+      | -1 ->
+        ipush o.ints ((lbl lsl 1) lor 1);
+        let u = if w >= 0 then Inttbl.find sp.seen w else -1 in
+        if u >= 0 then ipush o.ukeys (-2 - u)
+        else begin
+          if w >= 0 then Inttbl.add sp.seen w (o.ukeys.size / 2)
+          else push o.strings sp.skey;
+          ipush o.ukeys w
+        end;
+        ipush o.ukeys sp.orbit
+      | id -> ipush o.ints ((id lsl 21) lor (lbl lsl 1))
+    in
+    let chunk_bounds w c =
       let lo = c * w.w_chunk in
-      let hi = min (Array.length w.w_frontier) (lo + w.w_chunk) in
-      Array.init (hi - lo) (fun k ->
-          Resilience.worker_tick ~domain;
-          List.map
-            (fun (c_label, st') ->
-              let c_rep, c_key, c_orbit = canonize_cached cc codec st' in
-              { c_label; c_rep; c_key; c_orbit })
-            (successors cfg w.w_frontier.(lo + k)))
+      (lo, min (Array.length w.w_keys.words) (lo + w.w_chunk))
     in
-    let rec intern_cands = function
-      | [] -> []
-      | c :: rest ->
-        let dst = intern c.c_rep c.c_key c.c_orbit in
-        if dst < 0 then intern_cands rest
-        else { dst; label = c.c_label } :: intern_cands rest
+    let map_chunk ~domain w c =
+      let sp = spaces.(domain) in
+      let lo, hi = chunk_bounds w c in
+      (* buffers of the previous generation are reused: fresh ones as large
+         would be allocated on the major heap, and collected there *)
+      let k = Atomic.fetch_and_add w.w_reuse_next 1 in
+      let out =
+        if k < Array.length w.w_reuse then begin
+          let o = w.w_reuse.(k) in
+          o.ints.size <- 0;
+          o.ukeys.size <- 0;
+          o.strings.size <- 0;
+          o.cands <- 0;
+          o
+        end
+        else
+          {
+            (mapped ()) with
+            ints = { items = Array.make ((hi - lo) * (1 + (2 * n))) 0; size = 0 };
+          }
+      in
+      sp.out <- out;
+      Inttbl.clear sp.seen;
+      for i = lo to hi - 1 do
+        Resilience.worker_tick ~domain;
+        let at = out.ints.size in
+        ipush out.ints 0;
+        sp.ncand <- 0;
+        expand sp ~pw:(load sp w.w_keys i) emit_mapped;
+        out.ints.items.(at) <- sp.ncand;
+        out.cands <- out.cands + sp.ncand
+      done;
+      out
     in
-    (* Claim the next unclaimed chunk of [w] for [domain] and map it;
-       [false] when there is none to claim. Workers stay within [2 * d]
-       chunks of domain 0's intern: output that waits longer is
-       promoted by the worker's minor collections and is slower for
-       domain 0 to read. *)
+    (* A wide generation's new keys and their ids, by shard of the visited
+       set, for the merge at its boundary *)
+    let new_words = Array.init shards (fun _ -> vec ()) in
+    let new_ids = Array.init shards (fun _ -> vec ()) in
+    let new_strs = vec () and new_str_ids = vec () in
+    (* Domain 0 interns a mapped chunk: the id assignment of each
+       unresolved candidate goes to [verdicts]. The other candidates are
+       known states. *)
+    let intern_chunk out =
+      let nu = out.ukeys.size / 2 in
+      gen_cand := !gen_cand + out.cands - nu;
+      gen_dups := !gen_dups + out.cands - nu;
+      out.verdicts.size <- 0;
+      let spos = ref 0 in
+      for u = 0 to nu - 1 do
+        let k = out.ukeys.items.(2 * u) in
+        if k <= -2 then begin
+          (* a repeat: known if its first occurrence got an id, dropped
+             again if the budget refused it *)
+          let r = out.verdicts.items.(-2 - k) in
+          incr gen_cand;
+          if r >= 0 then incr gen_dups else incr gen_dropped;
+          ipush out.verdicts (if r >= 0 then r land lnot 1 else -1)
+        end
+        else begin
+          let s =
+            if k >= 0 then ""
+            else begin
+              incr spos;
+              out.strings.items.(!spos - 1)
+            end
+          in
+          let r = assign gen ~orbit:out.ukeys.items.((2 * u) + 1) k s in
+          if r >= 0 && r land 1 = 1 then
+            if k >= 0 then begin
+              ipush new_words.(shard k) k;
+              ipush new_ids.(shard k) (r lsr 1)
+            end
+            else begin
+              push new_strs s;
+              ipush new_str_ids (r lsr 1)
+            end;
+          ipush out.verdicts r
+        end
+      done
+    in
+    (* An interned chunk's transition lists and new states (in id order). *)
+    let build_chunk ~domain w c =
+      let sp = spaces.(domain) in
+      let lo, hi = chunk_bounds w c in
+      let out = w.w_interned_out.(c) in
+      let ints = out.ints.items and ukeys = out.ukeys.items in
+      let fresh = vec () in
+      let pos = ref 0 and u = ref 0 and spos = ref 0 in
+      let tr =
+        Array.init (hi - lo) (fun _ ->
+            let ncand = ints.(!pos) in
+            for k = !pos + 1 to !pos + ncand do
+              let e = ints.(k) in
+              let lbl = (e lsr 1) land ((1 lsl 20) - 1) in
+              if e land 1 = 0 then add_tr sp (e lsr 21) lbl
+              else begin
+                let r = out.verdicts.items.(!u) and key = ukeys.(2 * !u) in
+                incr u;
+                let s =
+                  if key <> -1 then ""
+                  else begin
+                    incr spos;
+                    out.strings.items.(!spos - 1)
+                  end
+                in
+                if r >= 0 then begin
+                  if r land 1 = 1 then push fresh (state_of_key sp key s);
+                  add_tr sp (r lsr 1) lbl
+                end
+              end
+            done;
+            pos := !pos + 1 + ncand;
+            transitions sp)
+      in
+      (tr, take fresh)
+    in
+    (* Claim the next chunk of [w] to map, or to build, or the next shard
+       to merge, for [domain]; [false] when there is none to claim. A chunk
+       is buildable once domain 0 has interned it, and the shards once it
+       has interned every chunk. Workers map within [2 * d] chunks of
+       domain 0's intern: output that waits longer is promoted by the
+       worker's minor collections and is slower for domain 0 to read. *)
     let claim_and_map ~domain w =
-      let nc = Array.length w.w_done in
+      let nc = Array.length w.w_mapped in
       let limit =
-        if domain = 0 then nc
-        else min nc (Atomic.get w.w_interning + (2 * d))
+        if domain = 0 then nc else min nc (Atomic.get w.w_interned + (2 * d))
       in
       Atomic.get w.w_next < limit
       &&
       let c = Atomic.fetch_and_add w.w_next 1 in
       c < nc
       && begin
-        Atomic.set w.w_owner.(c) domain;
+        Atomic.set w.w_mapper.(c) domain;
         w.w_out.(c) <- map_chunk ~domain w c;
-        Atomic.set w.w_done.(c) true;
+        Atomic.set w.w_mapped.(c) true;
         true
       end
+    in
+    let claim_and_build ~domain w =
+      let c = Atomic.get w.w_build_next in
+      c < Atomic.get w.w_interned
+      && Atomic.compare_and_set w.w_build_next c (c + 1)
+      && begin
+        Atomic.set w.w_builder.(c) domain;
+        w.w_built_out.(c) <- build_chunk ~domain w c;
+        Atomic.set w.w_built.(c) true;
+        true
+      end
+    in
+    (* Merge the generation's new word keys of shard [j] (and, with shard
+       0, its new string keys) into the visited set. Safe to run again
+       after a partial run. *)
+    let merge_shard j =
+      let t = known.v_words.(j) and keys = new_words.(j) in
+      for i = 0 to keys.size - 1 do
+        let k = keys.items.(i) in
+        if Inttbl.find t k < 0 then Inttbl.add t k new_ids.(j).items.(i)
+      done;
+      if j = 0 then
+        for i = 0 to new_strs.size - 1 do
+          let s = new_strs.items.(i) in
+          if not (Hashtbl.mem known.v_strs s) then
+            Hashtbl.add known.v_strs s new_str_ids.items.(i)
+        done
+    in
+    let claim_merge ~domain w =
+      Atomic.get w.w_interned = Array.length w.w_mapped
+      && Atomic.get w.w_merge_next < shards
+      &&
+      let j = Atomic.fetch_and_add w.w_merge_next 1 in
+      j < shards
+      && begin
+        Atomic.set w.w_merger.(j) domain;
+        merge_shard j;
+        Atomic.set w.w_merged.(j) true;
+        true
+      end
+    in
+    let claim ~domain w =
+      claim_and_map ~domain w || claim_merge ~domain w
+      || claim_and_build ~domain w
     in
     let current : wide option Atomic.t = Atomic.make None in
     let quit = Atomic.make false in
     let alive = Array.init d (fun _ -> Atomic.make false) in
     let doms : unit Domain.t option array = Array.make d None in
     let respawns = Array.make d 0 in
-    (* A worker maps chunks until told to quit. Any exception ends it;
-       domain 0 then maps its chunk again, so a deterministic failure
-       resurfaces there. Idle workers back off to a short sleep: tests
-       run more domains than the host has cores. *)
+    (* A worker maps and builds chunks until told to quit. Any exception
+       ends it; domain 0 then redoes its chunk, so a deterministic failure
+       resurfaces there. Idle workers back off to a short sleep: tests run
+       more domains than the host has cores. *)
     let worker w () =
       (try
          let idle = ref 0 in
          while not (Atomic.get quit) do
            let worked =
              match Atomic.get current with
-             | Some wd -> claim_and_map ~domain:w wd
+             | Some wd -> claim ~domain:w wd
              | None -> false
            in
            if worked then idle := 0
@@ -841,7 +1370,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       Atomic.set alive.(w) false
     in
     let spawn w =
-      ccs.(w) <- fresh_canon_cache ();
+      spaces.(w) <- fresh_space ();
       Atomic.set alive.(w) true;
       doms.(w) <- Some (Domain.spawn (worker w))
     in
@@ -867,27 +1396,26 @@ module Make (P : Protocol.PROTOCOL) = struct
           doms.(w) <- None)
         doms
     in
-    (* Domain 0's wait for chunk [c]: map unclaimed chunks meanwhile;
-       map [c] itself once its owner has died or held it past the
-       patience. *)
-    let await w c =
+    (* Domain 0's wait for a task ([finished], claimed by [owner]): do
+       other claimable work meanwhile, and [redo] the task itself once its
+       owner has died or, when [patient], held it past the patience. A
+       redone chunk gives the same output as its owner's, which it may
+       overwrite. *)
+    let await ?(patient = true) w ~finished ~owner redo =
       let since = ref 0. and spins = ref 0 in
       let rec go () =
-        if Atomic.get w.w_done.(c) then begin
-          let out = w.w_out.(c) in
-          w.w_out.(c) <- [||];
-          out
-        end
-        else if claim_and_map ~domain:0 w then go ()
+        if Atomic.get finished then ()
+        else if claim ~domain:0 w then go ()
         else begin
           if !since = 0. then since := Checker_stats.now ();
           incr spins;
-          let o = Atomic.get w.w_owner.(c) in
+          let o = Atomic.get owner in
           if
             (o > 0 && not (Atomic.get alive.(o)))
-            || !spins land 255 = 0
+            || patient
+               && !spins land 255 = 0
                && Checker_stats.now () -. !since > stall_patience_s
-          then map_chunk ~domain:0 w c
+          then redo ()
           else begin
             Domain.cpu_relax ();
             go ()
@@ -896,38 +1424,87 @@ module Make (P : Protocol.PROTOCOL) = struct
       in
       go ()
     in
-    let expand_wide fr =
-      let nf = Array.length fr in
+    let reusable = ref [||] in
+    let no_output = mapped () in
+    let expand_wide () =
+      let keys = !frontier in
+      let nf = Array.length keys.words in
       let chunk = max 1 (min 64 (nf / (4 * d))) in
       let nc = (nf + chunk - 1) / chunk in
+      let flags () = Array.init nc (fun _ -> Atomic.make false) in
+      let owners () = Array.init nc (fun _ -> Atomic.make (-1)) in
       let w =
         {
-          w_frontier = fr;
+          w_keys = keys;
           w_chunk = chunk;
           w_next = Atomic.make 0;
-          w_interning = Atomic.make 0;
-          w_owner = Array.init nc (fun _ -> Atomic.make (-1));
-          w_done = Array.init nc (fun _ -> Atomic.make false);
-          w_out = Array.make nc [||];
+          w_mapper = owners ();
+          w_mapped = flags ();
+          w_out = Array.make nc no_output;
+          w_interned = Atomic.make 0;
+          w_interned_out = Array.make nc no_output;
+          w_build_next = Atomic.make 0;
+          w_builder = owners ();
+          w_built = flags ();
+          w_built_out = Array.make nc ([||], [||]);
+          w_reuse = !reusable;
+          w_reuse_next = Atomic.make 0;
+          w_merge_next = Atomic.make 0;
+          w_merger = Array.init shards (fun _ -> Atomic.make (-1));
+          w_merged = Array.init shards (fun _ -> Atomic.make false);
         }
       in
       Atomic.set current (Some w);
-      let out = ref [||] in
-      let g =
-        run_gen fr (fun i ->
-            if i mod chunk = 0 then begin
-              Atomic.set w.w_interning (i / chunk);
-              out := await w (i / chunk)
-            end;
-            intern_cands !out.(i mod chunk))
+      start_gen ();
+      Array.iter (fun v -> v.size <- 0) new_words;
+      Array.iter (fun v -> v.size <- 0) new_ids;
+      new_strs.size <- 0;
+      new_str_ids.size <- 0;
+      for c = 0 to nc - 1 do
+        let mine = ref None in
+        await w ~finished:w.w_mapped.(c) ~owner:w.w_mapper.(c) (fun () ->
+            mine := Some (map_chunk ~domain:0 w c));
+        (* only domain 0 writes [w_interned_out], so a stale mapper's
+           late output never replaces an interned chunk *)
+        let out = match !mine with Some o -> o | None -> w.w_out.(c) in
+        intern_chunk out;
+        w.w_interned_out.(c) <- out;
+        Atomic.set w.w_interned (c + 1)
+      done;
+      Array.iter Inttbl.clear gen.v_words;
+      Hashtbl.reset gen.v_strs;
+      (* the boundary: this generation's states join the visited set. A
+         merge is not pure, so it is redone only once its owner died. *)
+      for j = 0 to shards - 1 do
+        await ~patient:false w ~finished:w.w_merged.(j) ~owner:w.w_merger.(j)
+          (fun () ->
+            merge_shard j;
+            Atomic.set w.w_merged.(j) true)
+      done;
+      (* as for interned chunks, domain 0 keeps its own builds apart *)
+      let reuse = vec () in
+      let built =
+        Array.init nc (fun c ->
+            let mine = ref None in
+            await w ~finished:w.w_built.(c) ~owner:w.w_builder.(c) (fun () ->
+                mine := Some (build_chunk ~domain:0 w c));
+            match !mine with
+            | Some b -> b
+            | None ->
+              (* a stalled builder may still read a chunk domain 0 built
+                 again, so only the others' buffers are reused *)
+              push reuse w.w_interned_out.(c);
+              w.w_built_out.(c))
       in
       Atomic.set current None;
-      g
+      reusable := take reuse;
+      let built = Array.to_list built in
+      finish_gen (List.map fst built) (Array.concat (List.map snd built))
     in
     let crew = ref false in
     let gen b ~flush:_ =
-      if d = 1 || Array.length b.frontier < par_threshold then
-        expand_inline b.frontier
+      assert (Array.length b.frontier = Array.length !frontier.words);
+      if d = 1 || Array.length b.frontier < par_threshold then expand_inline ()
       else begin
         if not !crew then begin
           crew := true;
@@ -938,7 +1515,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           done
         end
         else respawn_dead ();
-        expand_wide b.frontier
+        expand_wide ()
       end
     in
     let capture () =
@@ -985,7 +1562,6 @@ module Make (P : Protocol.PROTOCOL) = struct
           Array.init n (fun i -> if i < k then expanded.(i) else [])
         end
       in
-      let sum f = Array.fold_left (fun acc cc -> acc + f cc) 0 ccs in
       ( { cfg; states; orbits; succs; complete = st.complete },
         {
           st with
@@ -993,8 +1569,10 @@ module Make (P : Protocol.PROTOCOL) = struct
           restarts = !restarts;
           cutover = img.r_cutover;
           sig_pruned =
-            sum (fun cc -> match cc.inc with Some i -> Cn.pruned i | None -> 0);
-          canon_hits = sum (fun cc -> cc.hits);
+            Array.fold_left
+              (fun acc sp ->
+                acc + match sp.canon with Some cx -> Cn.pruned cx | None -> 0)
+              0 spaces;
         } )
     in
     ( {

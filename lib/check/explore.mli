@@ -118,17 +118,24 @@ module Make (P : Protocol.PROTOCOL) : sig
       [1024 * (domains - 1)]) run inline on the calling domain; no domain
       is spawned until the frontier first reaches the threshold (that
       depth is reported as [cutover] in the stats; [None] means the whole
-      run stayed inline). A wide generation is cut into chunks of the
-      frontier: every domain claims chunks and maps their states to their
-      successors' labels, canonical representatives, keys and orbits,
-      work that touches no shared table, while the calling domain interns
-      the mapped chunks in frontier order through the same intern table
-      the inline generations use (DESIGN.md §13), so the ids are the
-      sequential ids by construction.
+      run stayed inline). The explorer works in code space: a state is
+      keyed by the word its interned codes pack into (by its {!Codec}
+      string when they do not fit), a successor's key is derived from its
+      parent's through a per-domain memo of each process's step, and a
+      structural state is built only for a new key. A wide generation is
+      cut into chunks of the frontier and freezes the visited set: every
+      domain claims chunks, maps their states to their successors' labels,
+      keys and orbits and resolves the keys the frozen set knows, while
+      the calling domain assigns ids to the rest in frontier order
+      through the same assignment the inline generations use; every
+      domain then builds the interned chunks' transitions and states and
+      merges the generation's new keys into the visited set (DESIGN.md
+      §13), so the ids are the sequential ids by construction.
 
-      Supervision is built in (DESIGN.md §12): a chunk is pure, so the
-      calling domain maps again any chunk whose worker died or has held
-      it past a fixed patience, and respawns a dead worker (a bounded
+      Supervision is built in (DESIGN.md §12): mapping and building a
+      chunk are pure, so the calling domain redoes any such task whose
+      worker died or has held it past a fixed patience (a merge only
+      after its worker died), and respawns a dead worker (a bounded
       number of times, counted in {!Checker_stats.t.restarts}) at the
       next wide generation. A worker's exception ends only that worker; a
       deterministic one (a protocol bug) resurfaces when the chunk is

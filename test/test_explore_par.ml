@@ -365,6 +365,65 @@ let test_stats_coherent () =
      contains "\"states\"" && contains "\"states_per_sec\""
      && contains "\"dedup_rate\"")
 
+(* --- word keys and their string overflow ---
+
+   The in-RAM explorer keys a state by one word when each of its m + n
+   codes fits [Codec.word_bits] bits, and by its codec string otherwise.
+   Fig 1 at n=3, m=13 has 16 slots of 3 bits, and more than 8 locals
+   appear within its first 5,000 states, so many of them do not fit a
+   word. Inline and wide, under both reductions, and resumed from a
+   snapshot taken part-way (which rebuilds both tables), the explorer must
+   give the reference explorer's graph. *)
+
+module EMutex = Explore.Make (Coord.Amutex.P)
+
+let test_word_overflow () =
+  let cfg =
+    {
+      EMutex.ids = [| 18; 35; 52 |];
+      inputs = [| (); (); () |];
+      namings = Array.init 3 (fun _ -> Naming.identity 13);
+    }
+  in
+  let max_states = 5_000 in
+  Alcotest.(check int) "3 bits per slot" 3 (Codec.word_bits ~slots:16);
+  List.iter
+    (fun reduction ->
+      let oracle = EMutex.explore ~max_states ~reduction cfg in
+      let locals =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun (st : EMutex.state) -> Array.to_list st.locals)
+             (Array.to_list oracle.states))
+      in
+      let tag what =
+        Printf.sprintf "%s: %s" (Explore.reduction_tag reduction) what
+      in
+      Alcotest.(check bool) (tag "some locals need 4 bits") true
+        (List.length locals > 8);
+      let same what (g : EMutex.graph) =
+        Alcotest.(check bool) (tag what) true
+          (g.states = oracle.states && g.orbits = oracle.orbits
+         && g.succs = oracle.succs && g.complete = oracle.complete)
+      in
+      List.iter
+        (fun (what, domains, par_threshold) ->
+          same what
+            (fst
+               (EMutex.explore_with_stats ~max_states ~domains ?par_threshold
+                  ~reduction cfg));
+          Tmp.with_dir "overflow" (fun dir ->
+              let snapshot_to = Filename.concat dir "part.snap" in
+              ignore
+                (EMutex.explore_with_stats ~max_states:(max_states / 2)
+                   ~domains ?par_threshold ~reduction ~snapshot_to cfg);
+              same (what ^ ", resumed")
+                (fst
+                   (EMutex.explore_with_stats ~max_states ~domains
+                      ?par_threshold ~reduction ~resume_from:snapshot_to cfg))))
+        [ ("inline", 1, None); ("wide", 2, Some 0) ])
+    [ Explore.Full; Explore.Canon ]
+
 let suite =
   [
     Alcotest.test_case "par = seq: toy" `Quick test_toy;
@@ -385,4 +444,6 @@ let suite =
       test_stalled_worker;
     Alcotest.test_case "a raising step surfaces as in explore" `Quick
       test_step_raises;
+    Alcotest.test_case "word keys overflow to strings" `Quick
+      test_word_overflow;
   ]
