@@ -867,7 +867,7 @@ let par_arg =
           "Use the frontier-parallel explorer: worker domains map chunks \
            of each wide frontier, domain 0 interns them in order, so the \
            graph and verdicts are the sequential explorer's. Dead or \
-           stalled workers are absorbed: their chunks are mapped again.")
+           stalled workers are absorbed: their chunks are built again.")
 
 let domains_arg =
   Arg.(

@@ -677,48 +677,12 @@ module Make (P : Protocol.PROTOCOL) = struct
     v.size <- 0;
     a
 
-  (* A mapped chunk. [ints] holds, per frontier state, its candidate
-     count and then one entry per candidate: [(id lsl 21) lor (label lsl
-     1)] for a state the frozen tables know, [(label lsl 1) lor 1] for an
-     unresolved one. The unresolved candidates' keys and orbits sit apart,
-     densely, for domain 0 to intern: [ukeys] holds a key and an orbit for
-     each, and interning fills [verdicts] with their id assignments. The
-     key is a word key, -1 for the chunk's next string key, or [-2 - u]
-     for the word key of the chunk's earlier unresolved candidate [u]:
-     most unresolved candidates are found again within their chunk, and
-     those repeats need no table. *)
-  type mapped = {
-    ints : int vec;
-    ukeys : int vec;
-    strings : string vec;
-    verdicts : int vec;
-    mutable cands : int;  (* candidates in the chunk *)
-  }
-
-  let mapped () =
-    { ints = vec (); ukeys = vec (); strings = vec (); verdicts = vec (); cands = 0 }
-
-  (* A visited set: word keys in [shards] open-addressing tables picked by
-     hash, so that merging a wide generation's keys splits into
-     independent tasks; string keys in one hash table. *)
-  type visited = { v_words : Inttbl.t array; v_strs : (string, int) Hashtbl.t }
-
-  let shards = 16
-  let shard w = (w * 0x1F42D4C957F2D853) lsr (Sys.int_size - 4)
-
-  let visited () =
-    { v_words = Array.init shards (fun _ -> Inttbl.create 64);
-      v_strs = Hashtbl.create 16 }
-
-  (* the id of a word key [w], or of the string key [s] when [w < 0]; -1
-     when absent *)
-  let find v w s =
-    if w >= 0 then Inttbl.find v.v_words.(shard w) w
-    else match Hashtbl.find_opt v.v_strs s with Some id -> id | None -> -1
-
-  let add v w s id =
-    if w >= 0 then Inttbl.add v.v_words.(shard w) w id
-    else Hashtbl.add v.v_strs s id
+  (* An interned chunk of a wide generation, for building: [counts]
+     holds each frontier state's candidate count, and [cands] two entries
+     per candidate, its label and its id assignment (see [assign]), then,
+     for a new state, its key (a word key, or -1 for the chunk's next
+     string key in [strs]). *)
+  type interned = { counts : int array; cands : int array; strs : string array }
 
   (* One domain's code-space context. *)
   type space = {
@@ -730,9 +694,6 @@ module Make (P : Protocol.PROTOCOL) = struct
     sl : int array;
     mutable skey : string;  (* the successor's key when it has no word *)
     mutable orbit : int;  (* the successor's orbit size *)
-    mutable out : mapped;  (* the chunk being mapped *)
-    mutable ncand : int;
-    seen : Inttbl.t;  (* the chunk's unresolved word keys, by index *)
     tr_dst : int array;  (* the transitions of the state being built *)
     tr_lbl : int array;
     mutable ntr : int;
@@ -743,46 +704,31 @@ module Make (P : Protocol.PROTOCOL) = struct
   type keys = { words : int array; strs : string array }
 
   (* Wide generations. Narrow ones (frontier below [par_threshold]) run
-     inline on domain 0. A wide one freezes the visited tables while it
-     runs: any domain may map a chunk of the frontier to its successors'
-     labels, keys and orbits, resolving each key it finds in the frozen
-     tables to its id; domain 0 interns the rest, chunk by chunk in
-     frontier order, into a per-generation table that is merged into the
-     visited tables at the boundary. The ids are therefore the sequential
-     ids on every schedule. Supervising a pure chunk means mapping it
-     again: domain 0 maps any chunk whose worker died or has held it
-     past [stall_patience_s] itself, and respawns dead workers (at most
+     inline on domain 0. In a wide one, domain 0 still expands and interns
+     every state, in frontier order, exactly as inline, so the ids are the
+     sequential ids on every schedule; what it hands out is the graph's
+     allocation. It publishes each interned chunk of the frontier, and any
+     domain builds a published chunk: its transition lists and the
+     structural states of its new keys. Only domain 0 touches the visited
+     set, and a build reads nothing that changes while it runs but its
+     own domain's context. Supervising a build means building again:
+     domain 0 builds any chunk whose worker died or has held it past
+     [stall_patience_s] itself, and respawns dead workers (at most
      [max_respawns] times each, counted in [restarts]) at the next wide
      generation. *)
 
   (* One wide generation, published to the workers as one atomic record.
-     Chunk [c] covers frontier indices [c * w_chunk, (c + 1) * w_chunk)
-     and passes through three tasks: any domain maps it (claimed through
-     [w_next], published in [w_out]), domain 0 interns it in order
-     ([w_interned] counts the chunks interned), and any domain builds it
-     (claimed through [w_build_next], published in [w_built_out]). Once
-     every chunk is interned, any domain merges the generation's new keys
-     into one shard of the visited set ([w_merge_next]). The claimer of a
-     task records itself in [w_mapper]/[w_builder]/[w_merger] and sets its
-     flag when done. *)
+     Domain 0 interns the chunks in order into [w_interned_out]
+     ([w_interned] counts them); any domain claims the next one to build
+     through [w_build_next], records itself in [w_builder], publishes in
+     [w_built_out] and sets its flag in [w_built]. *)
   type wide = {
-    w_keys : keys;
-    w_chunk : int;
-    w_next : int Atomic.t;
-    w_mapper : int Atomic.t array;
-    w_mapped : bool Atomic.t array;
-    w_out : mapped array;
     w_interned : int Atomic.t;
-    w_interned_out : mapped array;
+    w_interned_out : interned array;
     w_build_next : int Atomic.t;
     w_builder : int Atomic.t array;
     w_built : bool Atomic.t array;
     w_built_out : (transition list array * state array) array;
-    w_reuse : mapped array;  (* buffers free for mapping *)
-    w_reuse_next : int Atomic.t;
-    w_merge_next : int Atomic.t;
-    w_merger : int Atomic.t array;
-    w_merged : bool Atomic.t array;
   }
 
   let stall_patience_s = 0.05
@@ -822,9 +768,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         sl = Array.make n 0;
         skey = "";
         orbit = 1;
-        out = mapped ();
-        ncand = 0;
-        seen = Inttbl.create 256;
         tr_dst = Array.make (2 * n) 0;
         tr_lbl = Array.make (2 * n) 0;
         ntr = 0;
@@ -960,9 +903,17 @@ module Make (P : Protocol.PROTOCOL) = struct
     let state_of vc lc =
       { mem = Array.map value_of vc; locals = Array.map local_of lc }
     in
-    (* the visited set, and a wide generation's own one, merged into it
-       at the generation's boundary *)
-    let known = visited () and gen = visited () in
+    (* the visited set: word keys, and string keys apart *)
+    let words = Inttbl.create 1024 and strs = Hashtbl.create 16 in
+    (* the id of a word key [w], or of the string key [s] when [w < 0]; -1
+       when absent *)
+    let find w s =
+      if w >= 0 then Inttbl.find words w
+      else match Hashtbl.find_opt strs s with Some id -> id | None -> -1
+    in
+    let add w s id =
+      if w >= 0 then Inttbl.add words w id else Hashtbl.add strs s id
+    in
     let states_chunks = ref [] and orbits_chunks = ref [] in
     let trans_chunks = ref [] in
     let n_states = ref 0 in
@@ -995,7 +946,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           let all = keys_of_states sp.sp_states in
           Array.iteri
             (fun id w ->
-              add known w (if w >= 0 then "" else all.strs.(-1 - w)) id)
+              add w (if w >= 0 then "" else all.strs.(-1 - w)) id)
             all.words;
           let n = Array.length sp.sp_states and k = Array.length sp.sp_succs in
           let front = Array.sub sp.sp_states k (n - k) in
@@ -1030,7 +981,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         match sp.canon with Some cx -> Cn.canon_codes cx vc lc | None -> 1
       in
       let w = key_of sp vc lc in
-      add known w sp.skey 0;
+      add w sp.skey 0;
       frontier :=
         { words = [| (if w >= 0 then w else -1) |];
           strs = (if w >= 0 then [||] else [| sp.skey |]) };
@@ -1043,23 +994,23 @@ module Make (P : Protocol.PROTOCOL) = struct
     (* ---------------- one generation ----------------- *)
     (* The one id assignment, shared by both kinds of generation. Called
        on the candidates in discovery order with the candidate's key (word
-       [w], or string [s] when [w < 0]) and the tables it is interned
-       into. Returns [(id lsl 1) lor 1] for a new state, [id lsl 1] for a
-       known one, and -1 when the budget drops a new state. *)
+       [w], or string [s] when [w < 0]). Returns [(id lsl 1) lor 1] for a
+       new state, [id lsl 1] for a known one, and -1 when the budget drops
+       a new state. *)
     let gen_cand = ref 0 and gen_dups = ref 0 in
     let gen_dropped = ref 0 and gen_orbit_sum = ref 0 in
     let fresh_orbits = vec () and fresh_words = vec () in
     let fresh_strs = vec () in
-    let assign v ~orbit w s =
+    let assign ~orbit w s =
       incr gen_cand;
-      match find v w s with
+      match find w s with
       | -1 when !n_states >= max_states ->
         incr gen_dropped;
         -1
       | -1 ->
         let id = !n_states in
         incr n_states;
-        add v w s id;
+        add w s id;
         if w >= 0 then ipush fresh_words w
         else begin
           push fresh_strs s;
@@ -1085,15 +1036,12 @@ module Make (P : Protocol.PROTOCOL) = struct
       sp.ntr <- sp.ntr + 1
     in
     let transitions sp =
-      let rec go i acc =
-        if i < 0 then acc
-        else
-          go (i - 1)
-            ({ dst = sp.tr_dst.(i); label = labels.(sp.tr_lbl.(i)) } :: acc)
-      in
-      let l = go (sp.ntr - 1) [] in
+      let l = ref [] in
+      for i = sp.ntr - 1 downto 0 do
+        l := { dst = sp.tr_dst.(i); label = labels.(sp.tr_lbl.(i)) } :: !l
+      done;
       sp.ntr <- 0;
-      l
+      !l
     in
     let start_gen () =
       gen_cand := 0;
@@ -1121,7 +1069,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     in
     let fresh = vec () in
     let emit_inline sp lbl w =
-      match assign known ~orbit:sp.orbit w sp.skey with
+      match assign ~orbit:sp.orbit w sp.skey with
       | -1 -> ()
       | r ->
         if r land 1 = 1 then push fresh (state_of_key sp w sp.skey);
@@ -1139,216 +1087,83 @@ module Make (P : Protocol.PROTOCOL) = struct
       in
       finish_gen [ tr ] (take fresh)
     in
-    (* ---------------- the crew: map and build on every domain -------- *)
-    let emit_mapped sp lbl w =
-      sp.ncand <- sp.ncand + 1;
-      let o = sp.out in
-      match find known w sp.skey with
-      | -1 ->
-        ipush o.ints ((lbl lsl 1) lor 1);
-        let u = if w >= 0 then Inttbl.find sp.seen w else -1 in
-        if u >= 0 then ipush o.ukeys (-2 - u)
-        else begin
-          if w >= 0 then Inttbl.add sp.seen w (o.ukeys.size / 2)
-          else push o.strings sp.skey;
-          ipush o.ukeys w
-        end;
-        ipush o.ukeys sp.orbit
-      | id -> ipush o.ints ((id lsl 21) lor (lbl lsl 1))
+    (* ---------------- the crew: build on every domain ---------------- *)
+    let current : wide option Atomic.t = Atomic.make None in
+    (* Domain 0 interns a chunk of a wide generation as [expand_inline]
+       does, into these buffers; the chunk gets exact copies. *)
+    let c_counts = vec () and c_cands = vec () and c_strs = vec () in
+    let ncand = ref 0 in
+    let emit_wide sp lbl w =
+      incr ncand;
+      let r = assign ~orbit:sp.orbit w sp.skey in
+      ipush c_cands lbl;
+      ipush c_cands r;
+      if r >= 0 && r land 1 = 1 then begin
+        ipush c_cands w;
+        if w < 0 then push c_strs sp.skey
+      end
     in
-    let chunk_bounds w c =
-      let lo = c * w.w_chunk in
-      (lo, min (Array.length w.w_keys.words) (lo + w.w_chunk))
-    in
-    let map_chunk ~domain w c =
-      let sp = spaces.(domain) in
-      let lo, hi = chunk_bounds w c in
-      (* buffers of the previous generation are reused: fresh ones as large
-         would be allocated on the major heap, and collected there *)
-      let k = Atomic.fetch_and_add w.w_reuse_next 1 in
-      let out =
-        if k < Array.length w.w_reuse then begin
-          let o = w.w_reuse.(k) in
-          o.ints.size <- 0;
-          o.ukeys.size <- 0;
-          o.strings.size <- 0;
-          o.cands <- 0;
-          o
-        end
-        else
-          {
-            (mapped ()) with
-            ints = { items = Array.make ((hi - lo) * (1 + (2 * n))) 0; size = 0 };
-          }
-      in
-      sp.out <- out;
-      Inttbl.clear sp.seen;
+    let intern_chunk keys lo hi =
+      let sp = spaces.(0) in
       for i = lo to hi - 1 do
-        Resilience.worker_tick ~domain;
-        let at = out.ints.size in
-        ipush out.ints 0;
-        sp.ncand <- 0;
-        expand sp ~pw:(load sp w.w_keys i) emit_mapped;
-        out.ints.items.(at) <- sp.ncand;
-        out.cands <- out.cands + sp.ncand
+        (* fault seam: a matured kill/stall for domain 0 fires here *)
+        Resilience.worker_tick ~domain:0;
+        ncand := 0;
+        expand sp ~pw:(load sp keys i) emit_wide;
+        ipush c_counts !ncand
       done;
-      out
-    in
-    (* A wide generation's new keys and their ids, by shard of the visited
-       set, for the merge at its boundary *)
-    let new_words = Array.init shards (fun _ -> vec ()) in
-    let new_ids = Array.init shards (fun _ -> vec ()) in
-    let new_strs = vec () and new_str_ids = vec () in
-    (* Domain 0 interns a mapped chunk: the id assignment of each
-       unresolved candidate goes to [verdicts]. The other candidates are
-       known states. *)
-    let intern_chunk out =
-      let nu = out.ukeys.size / 2 in
-      gen_cand := !gen_cand + out.cands - nu;
-      gen_dups := !gen_dups + out.cands - nu;
-      out.verdicts.size <- 0;
-      let spos = ref 0 in
-      for u = 0 to nu - 1 do
-        let k = out.ukeys.items.(2 * u) in
-        if k <= -2 then begin
-          (* a repeat: known if its first occurrence got an id, dropped
-             again if the budget refused it *)
-          let r = out.verdicts.items.(-2 - k) in
-          incr gen_cand;
-          if r >= 0 then incr gen_dups else incr gen_dropped;
-          ipush out.verdicts (if r >= 0 then r land lnot 1 else -1)
-        end
-        else begin
-          let s =
-            if k >= 0 then ""
-            else begin
-              incr spos;
-              out.strings.items.(!spos - 1)
-            end
-          in
-          let r = assign gen ~orbit:out.ukeys.items.((2 * u) + 1) k s in
-          if r >= 0 && r land 1 = 1 then
-            if k >= 0 then begin
-              ipush new_words.(shard k) k;
-              ipush new_ids.(shard k) (r lsr 1)
-            end
-            else begin
-              push new_strs s;
-              ipush new_str_ids (r lsr 1)
-            end;
-          ipush out.verdicts r
-        end
-      done
+      { counts = take c_counts; cands = take c_cands; strs = take c_strs }
     in
     (* An interned chunk's transition lists and new states (in id order). *)
-    let build_chunk ~domain w c =
-      let sp = spaces.(domain) in
-      let lo, hi = chunk_bounds w c in
-      let out = w.w_interned_out.(c) in
-      let ints = out.ints.items and ukeys = out.ukeys.items in
-      let fresh = vec () in
-      let pos = ref 0 and u = ref 0 and spos = ref 0 in
+    let build_chunk ~domain ch =
+      let sp = spaces.(domain) and c = ch.cands and fresh = vec () in
+      let k = ref 0 and spos = ref 0 in
       let tr =
-        Array.init (hi - lo) (fun _ ->
-            let ncand = ints.(!pos) in
-            for k = !pos + 1 to !pos + ncand do
-              let e = ints.(k) in
-              let lbl = (e lsr 1) land ((1 lsl 20) - 1) in
-              if e land 1 = 0 then add_tr sp (e lsr 21) lbl
-              else begin
-                let r = out.verdicts.items.(!u) and key = ukeys.(2 * !u) in
-                incr u;
-                let s =
-                  if key <> -1 then ""
-                  else begin
-                    incr spos;
-                    out.strings.items.(!spos - 1)
-                  end
-                in
-                if r >= 0 then begin
-                  if r land 1 = 1 then push fresh (state_of_key sp key s);
-                  add_tr sp (r lsr 1) lbl
-                end
+        Array.init (Array.length ch.counts) (fun i ->
+            (* fault seam for workers; domain 0's is its intern *)
+            if domain > 0 then Resilience.worker_tick ~domain;
+            for _ = 1 to ch.counts.(i) do
+              let lbl = c.(!k) and r = c.(!k + 1) in
+              k := !k + 2;
+              if r >= 0 then begin
+                if r land 1 = 1 then begin
+                  let w = c.(!k) in
+                  incr k;
+                  let s =
+                    if w >= 0 then ""
+                    else begin
+                      incr spos;
+                      ch.strs.(!spos - 1)
+                    end
+                  in
+                  push fresh (state_of_key sp w s)
+                end;
+                add_tr sp (r lsr 1) lbl
               end
             done;
-            pos := !pos + 1 + ncand;
             transitions sp)
       in
       (tr, take fresh)
     in
-    (* Claim the next chunk of [w] to map, or to build, or the next shard
-       to merge, for [domain]; [false] when there is none to claim. A chunk
-       is buildable once domain 0 has interned it, and the shards once it
-       has interned every chunk. Workers map within [2 * d] chunks of
-       domain 0's intern: output that waits longer is promoted by the
-       worker's minor collections and is slower for domain 0 to read. *)
-    let claim_and_map ~domain w =
-      let nc = Array.length w.w_mapped in
-      let limit =
-        if domain = 0 then nc else min nc (Atomic.get w.w_interned + (2 * d))
-      in
-      Atomic.get w.w_next < limit
-      &&
-      let c = Atomic.fetch_and_add w.w_next 1 in
-      c < nc
-      && begin
-        Atomic.set w.w_mapper.(c) domain;
-        w.w_out.(c) <- map_chunk ~domain w c;
-        Atomic.set w.w_mapped.(c) true;
-        true
-      end
-    in
-    let claim_and_build ~domain w =
+    (* Claim the next interned chunk of [w] to build, for [domain]; [false]
+       when there is none to claim. *)
+    let claim ~domain w =
       let c = Atomic.get w.w_build_next in
       c < Atomic.get w.w_interned
       && Atomic.compare_and_set w.w_build_next c (c + 1)
       && begin
         Atomic.set w.w_builder.(c) domain;
-        w.w_built_out.(c) <- build_chunk ~domain w c;
+        w.w_built_out.(c) <- build_chunk ~domain w.w_interned_out.(c);
         Atomic.set w.w_built.(c) true;
         true
       end
     in
-    (* Merge the generation's new word keys of shard [j] (and, with shard
-       0, its new string keys) into the visited set. Safe to run again
-       after a partial run. *)
-    let merge_shard j =
-      let t = known.v_words.(j) and keys = new_words.(j) in
-      for i = 0 to keys.size - 1 do
-        let k = keys.items.(i) in
-        if Inttbl.find t k < 0 then Inttbl.add t k new_ids.(j).items.(i)
-      done;
-      if j = 0 then
-        for i = 0 to new_strs.size - 1 do
-          let s = new_strs.items.(i) in
-          if not (Hashtbl.mem known.v_strs s) then
-            Hashtbl.add known.v_strs s new_str_ids.items.(i)
-        done
-    in
-    let claim_merge ~domain w =
-      Atomic.get w.w_interned = Array.length w.w_mapped
-      && Atomic.get w.w_merge_next < shards
-      &&
-      let j = Atomic.fetch_and_add w.w_merge_next 1 in
-      j < shards
-      && begin
-        Atomic.set w.w_merger.(j) domain;
-        merge_shard j;
-        Atomic.set w.w_merged.(j) true;
-        true
-      end
-    in
-    let claim ~domain w =
-      claim_and_map ~domain w || claim_merge ~domain w
-      || claim_and_build ~domain w
-    in
-    let current : wide option Atomic.t = Atomic.make None in
     let quit = Atomic.make false in
     let alive = Array.init d (fun _ -> Atomic.make false) in
     let doms : unit Domain.t option array = Array.make d None in
     let respawns = Array.make d 0 in
-    (* A worker maps and builds chunks until told to quit. Any exception
-       ends it; domain 0 then redoes its chunk, so a deterministic failure
+    (* A worker builds chunks until told to quit. Any exception ends it;
+       domain 0 then builds its chunk again, so a deterministic failure
        resurfaces there. Idle workers back off to a short sleep: tests run
        more domains than the host has cores. *)
     let worker w () =
@@ -1396,26 +1211,24 @@ module Make (P : Protocol.PROTOCOL) = struct
           doms.(w) <- None)
         doms
     in
-    (* Domain 0's wait for a task ([finished], claimed by [owner]): do
-       other claimable work meanwhile, and [redo] the task itself once its
-       owner has died or, when [patient], held it past the patience. A
-       redone chunk gives the same output as its owner's, which it may
-       overwrite. *)
-    let await ?(patient = true) w ~finished ~owner redo =
+    (* Domain 0's wait for chunk [c]'s build: build other chunks
+       meanwhile, and build [c] itself once its owner has died or held it
+       past the patience. A chunk built again gives the same output as its
+       owner's, and domain 0 keeps its own. *)
+    let await w c =
       let since = ref 0. and spins = ref 0 in
       let rec go () =
-        if Atomic.get finished then ()
+        if Atomic.get w.w_built.(c) then w.w_built_out.(c)
         else if claim ~domain:0 w then go ()
         else begin
           if !since = 0. then since := Checker_stats.now ();
           incr spins;
-          let o = Atomic.get owner in
+          let o = Atomic.get w.w_builder.(c) in
           if
             (o > 0 && not (Atomic.get alive.(o)))
-            || patient
-               && !spins land 255 = 0
+            || !spins land 255 = 0
                && Checker_stats.now () -. !since > stall_patience_s
-          then redo ()
+          then build_chunk ~domain:0 w.w_interned_out.(c)
           else begin
             Domain.cpu_relax ();
             go ()
@@ -1424,81 +1237,31 @@ module Make (P : Protocol.PROTOCOL) = struct
       in
       go ()
     in
-    let reusable = ref [||] in
-    let no_output = mapped () in
+    let no_chunk = { counts = [||]; cands = [||]; strs = [||] } in
     let expand_wide () =
       let keys = !frontier in
       let nf = Array.length keys.words in
       let chunk = max 1 (min 64 (nf / (4 * d))) in
       let nc = (nf + chunk - 1) / chunk in
-      let flags () = Array.init nc (fun _ -> Atomic.make false) in
-      let owners () = Array.init nc (fun _ -> Atomic.make (-1)) in
       let w =
         {
-          w_keys = keys;
-          w_chunk = chunk;
-          w_next = Atomic.make 0;
-          w_mapper = owners ();
-          w_mapped = flags ();
-          w_out = Array.make nc no_output;
           w_interned = Atomic.make 0;
-          w_interned_out = Array.make nc no_output;
+          w_interned_out = Array.make nc no_chunk;
           w_build_next = Atomic.make 0;
-          w_builder = owners ();
-          w_built = flags ();
+          w_builder = Array.init nc (fun _ -> Atomic.make (-1));
+          w_built = Array.init nc (fun _ -> Atomic.make false);
           w_built_out = Array.make nc ([||], [||]);
-          w_reuse = !reusable;
-          w_reuse_next = Atomic.make 0;
-          w_merge_next = Atomic.make 0;
-          w_merger = Array.init shards (fun _ -> Atomic.make (-1));
-          w_merged = Array.init shards (fun _ -> Atomic.make false);
         }
       in
       Atomic.set current (Some w);
       start_gen ();
-      Array.iter (fun v -> v.size <- 0) new_words;
-      Array.iter (fun v -> v.size <- 0) new_ids;
-      new_strs.size <- 0;
-      new_str_ids.size <- 0;
       for c = 0 to nc - 1 do
-        let mine = ref None in
-        await w ~finished:w.w_mapped.(c) ~owner:w.w_mapper.(c) (fun () ->
-            mine := Some (map_chunk ~domain:0 w c));
-        (* only domain 0 writes [w_interned_out], so a stale mapper's
-           late output never replaces an interned chunk *)
-        let out = match !mine with Some o -> o | None -> w.w_out.(c) in
-        intern_chunk out;
-        w.w_interned_out.(c) <- out;
+        let lo = c * chunk in
+        w.w_interned_out.(c) <- intern_chunk keys lo (min nf (lo + chunk));
         Atomic.set w.w_interned (c + 1)
       done;
-      Array.iter Inttbl.clear gen.v_words;
-      Hashtbl.reset gen.v_strs;
-      (* the boundary: this generation's states join the visited set. A
-         merge is not pure, so it is redone only once its owner died. *)
-      for j = 0 to shards - 1 do
-        await ~patient:false w ~finished:w.w_merged.(j) ~owner:w.w_merger.(j)
-          (fun () ->
-            merge_shard j;
-            Atomic.set w.w_merged.(j) true)
-      done;
-      (* as for interned chunks, domain 0 keeps its own builds apart *)
-      let reuse = vec () in
-      let built =
-        Array.init nc (fun c ->
-            let mine = ref None in
-            await w ~finished:w.w_built.(c) ~owner:w.w_builder.(c) (fun () ->
-                mine := Some (build_chunk ~domain:0 w c));
-            match !mine with
-            | Some b -> b
-            | None ->
-              (* a stalled builder may still read a chunk domain 0 built
-                 again, so only the others' buffers are reused *)
-              push reuse w.w_interned_out.(c);
-              w.w_built_out.(c))
-      in
+      let built = Array.to_list (Array.init nc (await w)) in
       Atomic.set current None;
-      reusable := take reuse;
-      let built = Array.to_list built in
       finish_gen (List.map fst built) (Array.concat (List.map snd built))
     in
     let crew = ref false in

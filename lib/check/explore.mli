@@ -122,24 +122,20 @@ module Make (P : Protocol.PROTOCOL) : sig
       keyed by the word its interned codes pack into (by its {!Codec}
       string when they do not fit), a successor's key is derived from its
       parent's through a per-domain memo of each process's step, and a
-      structural state is built only for a new key. A wide generation is
-      cut into chunks of the frontier and freezes the visited set: every
-      domain claims chunks, maps their states to their successors' labels,
-      keys and orbits and resolves the keys the frozen set knows, while
-      the calling domain assigns ids to the rest in frontier order
-      through the same assignment the inline generations use; every
-      domain then builds the interned chunks' transitions and states and
-      merges the generation's new keys into the visited set (DESIGN.md
-      §13), so the ids are the sequential ids by construction.
+      structural state is built only for a new key. In a wide generation
+      the calling domain expands and interns the frontier in order, as
+      inline, one chunk at a time, and every domain builds the interned
+      chunks' transition lists and new states (DESIGN.md §13), so the ids
+      are the sequential ids by construction and only the calling domain
+      touches the visited set.
 
-      Supervision is built in (DESIGN.md §12): mapping and building a
-      chunk are pure, so the calling domain redoes any such task whose
-      worker died or has held it past a fixed patience (a merge only
-      after its worker died), and respawns a dead worker (a bounded
-      number of times, counted in {!Checker_stats.t.restarts}) at the
-      next wide generation. A worker's exception ends only that worker; a
-      deterministic one (a protocol bug) resurfaces when the chunk is
-      mapped again, and is raised as {!explore} would raise it. A kill
+      Supervision is built in (DESIGN.md §12): building a chunk is pure,
+      so the calling domain builds again any chunk whose worker died or
+      has held it past a fixed patience, and respawns a dead worker (a
+      bounded number of times, counted in {!Checker_stats.t.restarts}) at
+      the next wide generation. A worker's exception ends only that
+      worker. A protocol bug raising in [step] raises on the calling
+      domain, which runs every step, as {!explore} would raise it. A kill
       aimed at domain 0 propagates to the caller (see {!with_recovery}).
 
       Checkpointing: with [~snapshot_to:FILE] the exploration writes a

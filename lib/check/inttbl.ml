@@ -16,28 +16,33 @@ let create n =
    keys that differ only in their high slots still spread. *)
 let home t k = (k * 0x2545F4914F6CDD1D) lsr t.shift
 
+(* The probe loops are top-level functions: a local one would capture
+   the slots, key and mask, and allocate a closure per call. *)
+let rec probe s mask k i =
+  let k' = Array.unsafe_get s (2 * i) in
+  if k' = k then Array.unsafe_get s ((2 * i) + 1)
+  else if k' = empty then -1
+  else probe s mask k ((i + 1) land mask)
+
+let rec put s mask k v i =
+  if Array.unsafe_get s (2 * i) = empty then begin
+    Array.unsafe_set s (2 * i) k;
+    Array.unsafe_set s ((2 * i) + 1) v
+  end
+  else put s mask k v ((i + 1) land mask)
+
+(* Every probe is masked by the length of the one array [find] loaded, so
+   a reader that races a resize (and reads [shift] of another array)
+   stays inside that array; its answer is then meaningless, but safe. *)
 let find t k =
   let s = t.slots in
   let mask = (Array.length s lsr 1) - 1 in
-  let rec go i =
-    let k' = Array.unsafe_get s (2 * i) in
-    if k' = k then Array.unsafe_get s ((2 * i) + 1)
-    else if k' = empty then -1
-    else go ((i + 1) land mask)
-  in
-  go (home t k)
+  probe s mask k (home t k land mask)
 
 let insert t k v =
   let s = t.slots in
   let mask = (Array.length s lsr 1) - 1 in
-  let rec go i =
-    if Array.unsafe_get s (2 * i) = empty then begin
-      Array.unsafe_set s (2 * i) k;
-      Array.unsafe_set s ((2 * i) + 1) v
-    end
-    else go ((i + 1) land mask)
-  in
-  go (home t k)
+  put s mask k v (home t k land mask)
 
 (* Double the table until [extra] more keys keep it at most half full. *)
 let reserve t extra =

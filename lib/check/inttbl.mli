@@ -2,7 +2,9 @@
     non-negative [int] values: the in-RAM explorer's visited set for word
     keys. No allocation per operation.
 
-    Not thread-safe. Concurrent {!find}s are safe while nobody adds. *)
+    Not thread-safe. Concurrent {!find}s are safe while nobody adds; a
+    {!find} that races an {!add} or a {!clear} stays memory-safe and
+    terminates, but its answer means nothing. *)
 
 type t
 

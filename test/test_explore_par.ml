@@ -213,7 +213,7 @@ let test_engine_matrix_truncated () =
   MMutex.run ~max_states:40 mutex_cfg
 
 (* A worker domain killed by a seeded fault plan mid-campaign: domain 0
-   maps its chunk again and respawns it, and the graph is still the
+   builds its chunk again and respawns it, and the graph is still the
    sequential oracle's, bit for bit. *)
 let test_sharded_supervised_kill () =
   let seq = MMutex.E.explore mutex_cfg in
@@ -244,7 +244,7 @@ let test_sharded_supervised_kill () =
     [ 2; 4 ]
 
 (* A worker that freezes while holding a chunk, ten times longer than
-   domain 0's patience: domain 0 maps that chunk itself, and the run ends
+   domain 0's patience: domain 0 builds that chunk itself, and the run ends
    with the fault-free graph and statistics, raising nothing. *)
 let test_stalled_worker () =
   let cfg =
@@ -269,6 +269,46 @@ let test_stalled_worker () =
   Fun.protect ~finally:Resilience.disarm (fun () ->
       let g, s = MMutex.E.explore_with_stats ~domains:2 ~par_threshold:0 cfg in
       Alcotest.(check int) "the stall fired" 1 (Resilience.fired ());
+      Alcotest.(check bool) "same states" true
+        (og.MMutex.E.states = g.MMutex.E.states);
+      Alcotest.(check bool) "same transitions" true
+        (og.MMutex.E.succs = g.MMutex.E.succs);
+      Alcotest.(check bool) "stats bit-identical (mod clock)" true
+        (Checker_stats.equal_ignoring_time os s))
+
+(* A worker that freezes mid-run for three times domain 0's patience and
+   then wakes: domain 0 builds its chunk itself and runs on, and later
+   generations grow the visited set while the frozen worker sleeps and
+   after it wakes (it finishes its stale chunk into a slot nobody reads,
+   then builds for the current generation). Fig 1 at n=3, m=3 has 119
+   generations, so the run outlasts the stall. The graph and statistics
+   must be the fault-free run's. *)
+let test_stall_outlasts_patience () =
+  let cfg =
+    {
+      MMutex.E.ids = [| 7; 8; 9 |];
+      inputs = [| (); (); () |];
+      namings = Array.init 3 (fun _ -> Naming.identity 3);
+    }
+  in
+  let og, os = MMutex.E.explore_with_stats ~domains:2 ~par_threshold:0 cfg in
+  let plan =
+    {
+      Resilience.seed = 13;
+      faults =
+        [
+          Resilience.Stall_domain
+            { domain = 1; after_ticks = 5_000; for_s = 0.15 };
+        ];
+    }
+  in
+  Resilience.arm plan;
+  Fun.protect ~finally:Resilience.disarm (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let g, s = MMutex.E.explore_with_stats ~domains:2 ~par_threshold:0 cfg in
+      Alcotest.(check int) "the stall fired" 1 (Resilience.fired ());
+      Alcotest.(check bool) "the run outlasted the stall" true
+        (Unix.gettimeofday () -. t0 > 0.15);
       Alcotest.(check bool) "same states" true
         (og.MMutex.E.states = g.MMutex.E.states);
       Alcotest.(check bool) "same transitions" true
@@ -442,6 +482,8 @@ let suite =
       test_sharded_supervised_kill;
     Alcotest.test_case "a stalled worker's chunk is mapped again" `Quick
       test_stalled_worker;
+    Alcotest.test_case "a stall past the patience, mid-run" `Quick
+      test_stall_outlasts_patience;
     Alcotest.test_case "a raising step surfaces as in explore" `Quick
       test_step_raises;
     Alcotest.test_case "word keys overflow to strings" `Quick
