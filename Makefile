@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-list check chaos bench bench-checker \
+.PHONY: all build test test-list test-tmp check chaos bench bench-checker \
         bench-quick bench-canon bench-shard bench-disk disk-smoke tables \
         resume-smoke resilience-smoke chaos-soak-smoke fuzz-smoke \
         serve-smoke fuzz clean-snapshots clean
@@ -36,6 +36,7 @@ CHECK_TIMEOUT ?= 600
 check:
 	$(call stage,test-list,$(MAKE) test-list)
 	$(call stage,build+runtest,timeout $(CHECK_TIMEOUT) sh -c 'dune build @all && dune runtest')
+	$(call stage,test-tmp,$(MAKE) test-tmp)
 	$(call stage,bench-canon,$(MAKE) bench-canon)
 	$(call stage,bench-shard,$(MAKE) bench-shard)
 	$(call stage,resume-smoke,$(MAKE) resume-smoke)
@@ -49,6 +50,11 @@ check:
 # a new suite cannot silently ride along unexecuted.
 test-list:
 	scripts/test_list.sh
+
+# Fails if a filtered run of the suite (`main.exe test NAME`, which exits
+# from inside Alcotest) leaves anything in TMPDIR.
+test-tmp: build
+	scripts/test_tmp.sh _build/default/test/main.exe
 
 # End-to-end snapshot/resume smoke: truncate + resume vs oracle,
 # SIGTERM mid-exploration, and the exit-code contract (`check`: 0 clean /

@@ -130,16 +130,15 @@ let run_payload ~path =
           (Snapshot.Error
              (Snapshot.Corrupt { path; detail = "truncated run file" })))
 
-(* [key] vs the fixed-width record at [off] in payload [p]. Keys only need
-   a consistent total order on both sides, so raw byte order suffices. *)
-let compare_at key p off len =
-  let rec go i =
-    if i = len then 0
-    else
-      let c = Char.compare key.[i] p.[off + i] in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* [key] vs the fixed-width record at [off] in payload [p], from byte [i]
+   on. Keys only need a consistent total order on both sides, so raw byte
+   order suffices. A top-level loop: a local one would capture the key,
+   payload and offsets, and allocate a closure per comparison. *)
+let rec compare_at key p off len i =
+  if i = len then 0
+  else
+    let c = Char.compare key.[i] p.[off + i] in
+    if c <> 0 then c else compare_at key p off len (i + 1)
 
 let probe t keys =
   let nk = Array.length keys in
@@ -153,7 +152,7 @@ let probe t keys =
         while !i < nk && !j < r.r_count do
           if found.(!i) then incr i
           else begin
-            let c = compare_at keys.(!i) p (!j * kl) kl in
+            let c = compare_at keys.(!i) p (!j * kl) kl 0 in
             if c = 0 then begin
               found.(!i) <- true;
               incr i;

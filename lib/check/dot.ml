@@ -12,7 +12,7 @@ let of_flat ?(max_nodes = 500) ?(highlight = []) (g : Flatgraph.t) ppf () =
   Format.fprintf ppf "digraph states {@.";
   Format.fprintf ppf "  rankdir=LR; node [shape=box, fontname=monospace];@.";
   for v = 0 to n - 1 do
-    let sts = g.statuses.(v) in
+    let sts = Flatgraph.statuses g v in
     let label =
       String.init (Array.length sts) (fun p -> status_letter sts.(p))
     in
@@ -30,13 +30,12 @@ let of_flat ?(max_nodes = 500) ?(highlight = []) (g : Flatgraph.t) ppf () =
     Format.fprintf ppf "  s%d [label=\"%d:%s\"%s];@." v v label color
   done;
   for v = 0 to n - 1 do
-    List.iter
-      (fun (t : Flatgraph.trans) ->
-        if t.dst < n then
-          Format.fprintf ppf "  s%d -> s%d [label=\"p%d\"%s];@." v t.dst
-            t.proc
-            (if t.enters_cs then " penwidth=2 color=blue" else ""))
-      g.succs.(v)
+    for e = Int32.to_int g.offsets.{v} to Int32.to_int g.offsets.{v + 1} - 1 do
+      let dst = Int32.to_int g.dsts.{e} and l = Char.code (Bytes.get g.labels e) in
+      if dst < n then
+        Format.fprintf ppf "  s%d -> s%d [label=\"p%d\"%s];@." v dst (l lsr 1)
+          (if l land 1 = 1 then " penwidth=2 color=blue" else "")
+    done
   done;
   if Flatgraph.n_states g > n then
     Format.fprintf ppf

@@ -1763,25 +1763,35 @@ module Make (P : Protocol.PROTOCOL) = struct
       None
     with Found (sid, proc) -> Some (sid, proc)
 
+  (* The edge loop is a top-level function: a local one would be a closure
+     allocated per state. *)
+  let rec fill_edges (f : Flatgraph.t) e = function
+    | [] -> e
+    | { dst; label = { proc; enters_cs } } :: rest ->
+      f.dsts.{e} <- Int32.of_int dst;
+      Bytes.set f.labels e (Char.chr (Flatgraph.label ~proc ~enters_cs));
+      fill_edges f (e + 1) rest
+
+  (* One pass counts the transitions, so [Flatgraph.create] can refuse a
+     graph the int32 arrays cannot hold; one pass fills the arrays. *)
   let to_flat g =
-    {
-      Flatgraph.n_procs = Array.length g.cfg.ids;
-      statuses =
-        Array.map
-          (fun st -> Array.map (fun l -> Flatgraph.of_status (P.status l)) st.locals)
-          g.states;
-      succs =
-        Array.map
-          (fun ts ->
-            List.map
-              (fun { dst; label } ->
-                {
-                  Flatgraph.dst;
-                  proc = label.proc;
-                  enters_cs = label.enters_cs;
-                })
-              ts)
-          g.succs;
-      complete = g.complete;
-    }
+    let n_procs = Array.length g.cfg.ids in
+    let n_states = Array.length g.states in
+    let n_edges =
+      Array.fold_left (fun acc ts -> acc + List.length ts) 0 g.succs
+    in
+    let f =
+      Flatgraph.create ~n_procs ~n_states ~n_edges ~complete:g.complete
+    in
+    let e = ref 0 in
+    for v = 0 to n_states - 1 do
+      let locals = g.states.(v).locals in
+      for p = 0 to n_procs - 1 do
+        Bytes.set f.status ((v * n_procs) + p)
+          (Char.chr (Flatgraph.code (Flatgraph.of_status (P.status locals.(p)))))
+      done;
+      e := fill_edges f !e g.succs.(v);
+      f.offsets.{v + 1} <- Int32.of_int !e
+    done;
+    f
 end

@@ -284,5 +284,7 @@ module Make (P : Protocol.PROTOCOL) : sig
       asserts the equivalence on every in-tree protocol. *)
 
   val to_flat : graph -> Flatgraph.t
-  (** The shape the generic property checkers consume. *)
+  (** The shape the generic property checkers consume. Raises
+      [Invalid_argument] for a graph past {!Flatgraph.max_edges}
+      transitions, which its [int32] arrays cannot hold. *)
 end

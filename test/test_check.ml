@@ -5,98 +5,119 @@ open Check
 
 (* --- Mutex_props on hand-built flat graphs --- *)
 
-let flat ~n_procs ~statuses ~edges =
+(* Each graph is kept in the list form of the reference judge
+   (judge_ref.ml), so the differential suite (test_judge.ml) can judge the
+   same graphs both ways; the tests here judge the CSR form. *)
+let lists ~n_procs ~statuses ~edges =
   let n = Array.length statuses in
   let succs = Array.make n [] in
   List.iter
     (fun (src, t) -> succs.(src) <- t :: succs.(src))
     edges;
-  { Check.Flatgraph.n_procs; statuses; succs; complete = true }
+  { Judge_ref.n_procs; statuses; succs }
 
 let tr dst proc enters_cs = { Check.Flatgraph.dst; proc; enters_cs }
 
+let me_double_critical =
+  lists ~n_procs:2
+    ~statuses:[| [| Flatgraph.Try; Try |]; [| Crit; Crit |] |]
+    ~edges:[ (0, tr 1 0 true) ]
+
+let me_exclusive =
+  lists ~n_procs:2
+    ~statuses:[| [| Flatgraph.Crit; Try |]; [| Rem; Crit |] |]
+    ~edges:[]
+
+(* Two states, both processes trying, both stepping, no CS entry. *)
+let df_fair_livelock =
+  lists ~n_procs:2
+    ~statuses:[| [| Flatgraph.Try; Try |]; [| Try; Try |] |]
+    ~edges:[ (0, tr 1 0 false); (1, tr 0 1 false) ]
+
+(* Process 1 is trying inside the cycle but never steps in it: the cycle
+   starves process 1, which is an illegal run, not a deadlock. *)
+let df_unfair_cycle =
+  lists ~n_procs:2
+    ~statuses:[| [| Flatgraph.Try; Try |]; [| Try; Try |] |]
+    ~edges:[ (0, tr 1 0 false); (1, tr 0 0 false) ]
+
+(* A cycle that keeps entering the critical section is progress. *)
+let df_progress_cycle =
+  lists ~n_procs:1
+    ~statuses:[| [| Flatgraph.Try |]; [| Crit |] |]
+    ~edges:[ (0, tr 1 0 true); (1, tr 0 0 false) ]
+
+(* Everyone idles in the remainder: nobody is trying, no obligation. *)
+let df_remainder_churn =
+  lists ~n_procs:1
+    ~statuses:[| [| Flatgraph.Rem |] |]
+    ~edges:[ (0, tr 0 0 false) ]
+
+(* An SCC that is only bad because of a state where a third party is
+   active but never steps; refinement removes it and finds the real
+   subcycle 1<->2. *)
+let df_refinement =
+  lists ~n_procs:2
+    ~statuses:
+      [|
+        [| Flatgraph.Try; Try |] (* p1 active here but steps nowhere *);
+        [| Try; Rem |];
+        [| Try; Rem |];
+      |]
+    ~edges:
+      [
+        (0, tr 1 0 false);
+        (1, tr 2 0 false);
+        (2, tr 1 0 false);
+        (2, tr 0 0 false);
+      ]
+
+let hand_built =
+  [
+    ("double critical", me_double_critical);
+    ("exclusive", me_exclusive);
+    ("fair livelock", df_fair_livelock);
+    ("unfair cycle", df_unfair_cycle);
+    ("progress cycle", df_progress_cycle);
+    ("remainder churn", df_remainder_churn);
+    ("refinement", df_refinement);
+  ]
+
 let test_me_detects () =
-  let g =
-    flat ~n_procs:2
-      ~statuses:[| [| Flatgraph.Try; Try |]; [| Crit; Crit |] |]
-      ~edges:[ (0, tr 1 0 true) ]
-  in
+  let g = Judge_ref.to_flat me_double_critical in
   match Check.Mutex_props.mutual_exclusion g with
   | Some v -> Alcotest.(check int) "violating state" 1 v.state
   | None -> Alcotest.fail "should detect double critical"
 
 let test_me_ok () =
-  let g =
-    flat ~n_procs:2
-      ~statuses:[| [| Flatgraph.Crit; Try |]; [| Rem; Crit |] |]
-      ~edges:[]
-  in
+  let g = Judge_ref.to_flat me_exclusive in
   Alcotest.(check bool) "no violation" true
     (Check.Mutex_props.mutual_exclusion g = None)
 
 let test_df_detects_fair_cycle () =
-  (* Two states, both processes trying, both stepping, no CS entry. *)
-  let g =
-    flat ~n_procs:2
-      ~statuses:[| [| Flatgraph.Try; Try |]; [| Try; Try |] |]
-      ~edges:[ (0, tr 1 0 false); (1, tr 0 1 false) ]
-  in
+  let g = Judge_ref.to_flat df_fair_livelock in
   match Check.Mutex_props.deadlock_freedom g with
   | Some v ->
     Alcotest.(check (list int)) "both trying forever" [ 0; 1 ] v.trying
   | None -> Alcotest.fail "should detect livelock"
 
 let test_df_ignores_unfair_cycle () =
-  (* Process 1 is trying inside the cycle but never steps in it: the cycle
-     starves process 1, which is an illegal run, not a deadlock. *)
-  let g =
-    flat ~n_procs:2
-      ~statuses:[| [| Flatgraph.Try; Try |]; [| Try; Try |] |]
-      ~edges:[ (0, tr 1 0 false); (1, tr 0 0 false) ]
-  in
+  let g = Judge_ref.to_flat df_unfair_cycle in
   Alcotest.(check bool) "unfair cycle not reported" true
     (Check.Mutex_props.deadlock_freedom g = None)
 
 let test_df_ignores_progress_cycle () =
-  (* A cycle that keeps entering the critical section is progress. *)
-  let g =
-    flat ~n_procs:1
-      ~statuses:[| [| Flatgraph.Try |]; [| Crit |] |]
-      ~edges:[ (0, tr 1 0 true); (1, tr 0 0 false) ]
-  in
+  let g = Judge_ref.to_flat df_progress_cycle in
   Alcotest.(check bool) "progress cycle ok" true
     (Check.Mutex_props.deadlock_freedom g = None)
 
 let test_df_ignores_remainder_cycle () =
-  (* Everyone idles in the remainder: nobody is trying, no obligation. *)
-  let g =
-    flat ~n_procs:1
-      ~statuses:[| [| Flatgraph.Rem |] |]
-      ~edges:[ (0, tr 0 0 false) ]
-  in
+  let g = Judge_ref.to_flat df_remainder_churn in
   Alcotest.(check bool) "remainder churn ok" true
     (Check.Mutex_props.deadlock_freedom g = None)
 
 let test_df_refinement () =
-  (* An SCC that is only bad because of a state where a third party is
-     active but never steps; refinement removes it and finds the real
-     subcycle 1<->2. *)
-  let g =
-    flat ~n_procs:2
-      ~statuses:
-        [|
-          [| Flatgraph.Try; Try |] (* p1 active here but steps nowhere *);
-          [| Try; Rem |];
-          [| Try; Rem |];
-        |]
-      ~edges:
-        [
-          (0, tr 1 0 false);
-          (1, tr 2 0 false);
-          (2, tr 1 0 false);
-          (2, tr 0 0 false);
-        ]
-  in
+  let g = Judge_ref.to_flat df_refinement in
   match Check.Mutex_props.deadlock_freedom g with
   | Some v ->
     Alcotest.(check (list int)) "only p0 starves" [ 0 ] v.trying;

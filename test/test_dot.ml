@@ -75,24 +75,16 @@ let test_edges_reference_declared_nodes () =
 
 let test_double_critical_is_red () =
   let flat =
-    {
-      Flatgraph.n_procs = 2;
-      statuses = [| [| Flatgraph.Crit; Crit |] |];
-      succs = [| [] |];
-      complete = true;
-    }
+    Flatgraph.of_lists ~n_procs:2 [| [| Flatgraph.Crit; Crit |] |] [| [] |]
   in
   Alcotest.(check bool) "two-critical state filled red" true
     (contains (render flat) "fillcolor=red")
 
 let test_highlight () =
   let flat =
-    {
-      Flatgraph.n_procs = 1;
-      statuses = [| [| Flatgraph.Try |]; [| Try |] |];
-      succs = [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = false } ]; [] |];
-      complete = true;
-    }
+    Flatgraph.of_lists ~n_procs:1
+      [| [| Flatgraph.Try |]; [| Try |] |]
+      [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = false } ]; [] |]
   in
   let s = render ~highlight:[ 1 ] flat in
   Alcotest.(check bool) "highlighted state is orange" true
@@ -103,12 +95,9 @@ let test_highlight () =
 
 let test_cs_entry_edge_is_bold () =
   let flat =
-    {
-      Flatgraph.n_procs = 1;
-      statuses = [| [| Flatgraph.Try |]; [| Crit |] |];
-      succs = [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = true } ]; [] |];
-      complete = true;
-    }
+    Flatgraph.of_lists ~n_procs:1
+      [| [| Flatgraph.Try |]; [| Crit |] |]
+      [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = true } ]; [] |]
   in
   Alcotest.(check bool) "CS-entry edge is penwidth=2" true
     (contains (render flat) "penwidth=2")

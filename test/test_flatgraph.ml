@@ -37,7 +37,7 @@ let test_to_flat_mirrors_graph () =
       Alcotest.(check bool)
         (Printf.sprintf "statuses of state %d" i)
         true
-        (want = flat.Check.Flatgraph.statuses.(i)))
+        (want = Check.Flatgraph.statuses flat i))
     g.E.states;
   Array.iteri
     (fun i trans ->
@@ -50,7 +50,7 @@ let test_to_flat_mirrors_graph () =
       Alcotest.(check bool)
         (Printf.sprintf "succs of state %d" i)
         true
-        (want = flat.Check.Flatgraph.succs.(i)))
+        (want = Check.Flatgraph.succs flat i))
     g.E.succs
 
 let test_truncated_flag () =
@@ -62,14 +62,49 @@ let test_truncated_flag () =
 let test_every_edge_in_range () =
   let flat = E.to_flat (toy_graph ()) in
   let n = Check.Flatgraph.n_states flat in
-  Array.iter
-    (fun trans ->
-      List.iter
-        (fun { Check.Flatgraph.dst; proc; enters_cs = _ } ->
-          Alcotest.(check bool) "dst in range" true (dst >= 0 && dst < n);
-          Alcotest.(check bool) "proc in range" true (proc >= 0 && proc < 2))
-        trans)
-    flat.Check.Flatgraph.succs
+  for v = 0 to n - 1 do
+    List.iter
+      (fun { Check.Flatgraph.dst; proc; enters_cs = _ } ->
+        Alcotest.(check bool) "dst in range" true (dst >= 0 && dst < n);
+        Alcotest.(check bool) "proc in range" true (proc >= 0 && proc < 2))
+      (Check.Flatgraph.succs flat v)
+  done
+
+(* The list constructor and the list views are inverse. *)
+let test_of_lists_round_trip () =
+  let open Check.Flatgraph in
+  let sts = [| [| Try; Crit; Rem |]; [| Exit; Done; Try |]; [| Rem; Rem; Rem |] |] in
+  let edges =
+    [|
+      [ { dst = 1; proc = 2; enters_cs = true }; { dst = 0; proc = 0; enters_cs = false } ];
+      [];
+      [ { dst = 2; proc = 1; enters_cs = false } ];
+    |]
+  in
+  let g = of_lists ~n_procs:3 sts edges in
+  Alcotest.(check int) "states" 3 (n_states g);
+  Alcotest.(check int) "edges" 3 (n_edges g);
+  for v = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "statuses of %d" v) true (statuses g v = sts.(v));
+    Alcotest.(check bool) (Printf.sprintf "succs of %d" v) true (succs g v = edges.(v))
+  done
+
+(* Offsets and ids are int32: a graph past 2^31 - 1 transitions is refused
+   before anything is allocated, rather than wrapped. *)
+let test_refuses_what_int32_cannot_hold () =
+  let open Check.Flatgraph in
+  Alcotest.(check int) "limit" ((1 lsl 31) - 1) max_edges;
+  let refused what f =
+    match f () with
+    | (_ : t) -> Alcotest.fail (what ^ " accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  refused "2^31 transitions" (fun () ->
+      create ~n_procs:2 ~n_states:1 ~n_edges:(max_edges + 1) ~complete:true);
+  refused "2^31 states" (fun () ->
+      create ~n_procs:2 ~n_states:(max_edges + 1) ~n_edges:0 ~complete:true);
+  refused "128 processes" (fun () ->
+      create ~n_procs:(max_procs + 1) ~n_states:1 ~n_edges:0 ~complete:true)
 
 let suite =
   [
@@ -78,4 +113,7 @@ let suite =
       test_to_flat_mirrors_graph;
     Alcotest.test_case "truncation carried to flat" `Quick test_truncated_flag;
     Alcotest.test_case "edges well-formed" `Quick test_every_edge_in_range;
+    Alcotest.test_case "list constructor round trip" `Quick test_of_lists_round_trip;
+    Alcotest.test_case "refuses what int32 cannot hold" `Quick
+      test_refuses_what_int32_cannot_hold;
   ]

@@ -3,10 +3,18 @@ open Anonmem
 (* Tarjan on known graphs, plus a differential check against a naive
    reachability-based SCC on random digraphs. *)
 
+(* A one-process graph with successor lists [succs]. *)
+let graph succs =
+  Check.Flatgraph.of_lists ~n_procs:1
+    (Array.map (fun _ -> [| Check.Flatgraph.Rem |]) succs)
+    (Array.map
+       (List.map (fun dst -> { Check.Flatgraph.dst; proc = 0; enters_cs = false }))
+       succs)
+
 let scc_of edges n =
   let succs = Array.make n [] in
   List.iter (fun (u, v) -> succs.(u) <- v :: succs.(u)) edges;
-  Check.Scc.compute ~n ~succs:(fun v -> succs.(v))
+  Check.Scc.compute (graph succs)
 
 let test_cycle () =
   let scc = scc_of [ (0, 1); (1, 2); (2, 0) ] 3 in
@@ -43,7 +51,8 @@ let test_large_path () =
   (* a long path must not blow the stack: 200k vertices *)
   let n = 200_000 in
   let scc =
-    Check.Scc.compute ~n ~succs:(fun v -> if v + 1 < n then [ v + 1 ] else [])
+    Check.Scc.compute
+      (graph (Array.init n (fun v -> if v + 1 < n then [ v + 1 ] else [])))
   in
   Alcotest.(check int) "all singletons" n scc.count
 
@@ -73,9 +82,8 @@ let test_random_differential () =
       let u = Rng.int rng n and v = Rng.int rng n in
       succs.(u) <- v :: succs.(u)
     done;
-    let succs v = succs.(v) in
-    let scc = Check.Scc.compute ~n ~succs in
-    let same = naive_same_component n succs in
+    let scc = Check.Scc.compute (graph succs) in
+    let same = naive_same_component n (fun v -> succs.(v)) in
     for v = 0 to n - 1 do
       for w = 0 to n - 1 do
         Alcotest.(check bool)
